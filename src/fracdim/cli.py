@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 
 import click
@@ -75,11 +74,7 @@ def handle_errors(fn):
 @click.group()
 @click.version_option(__version__)
 def main():
-    """Fractal interpolation, dimension prediction, and approximation tools.
-
-    FDA_THREADS caps worker parallelism; execution is sequential per
-    invocation, which trivially satisfies any cap.
-    """
+    """Fractal interpolation, dimension prediction, and approximation tools."""
 
 
 @main.command("predict-dim")

@@ -103,13 +103,20 @@ def collinear(data: DataSet, tol: float = COLLINEAR_TOL) -> bool:
     return bool(np.max(np.abs(data.ys - chord)) <= tol)
 
 
+def _scale_factors(alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("scale factors must be finite")
+    return alpha
+
+
 def dimension_equation_root(lengths, alpha) -> float:
     """Unique D in (1, 2) solving sum |alpha_i| a_i^(D-1) = 1, by bisection."""
     lengths = np.asarray(lengths, dtype=float)
-    alpha = np.abs(np.asarray(alpha, dtype=float))
+    alpha = np.abs(_scale_factors(alpha))
     if lengths.shape != alpha.shape:
         raise ValueError("lengths and alpha must have equal length")
-    if np.any(lengths <= 0) or np.any(lengths >= 1):
+    if not np.all((lengths > 0) & (lengths < 1)):  # also rejects NaN
         raise ValueError("interval lengths must lie in (0, 1)")
     if abs(lengths.sum() - 1.0) > 1e-9:
         raise ValueError("interval lengths must sum to 1")
@@ -140,7 +147,7 @@ def predict_box_dim(data: DataSet, alpha) -> DimReport:
     diagnostic) when the data are collinear, since the theorem hypothesis
     fails there.
     """
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _scale_factors(alpha)
     if np.any(np.abs(alpha) >= 1.0):
         raise ValueError("scale factors must satisfy |alpha_i| < 1")
     lengths = np.diff(data.xs)
@@ -173,7 +180,7 @@ def hausdorff_condition(data: DataSet, alpha, tol: float = CONDITION_TOL) -> boo
 
 def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
     """Hausdorff dimension via the same root, gated on the quotient condition."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _scale_factors(alpha)
     if np.any(np.abs(alpha) >= 1.0):
         raise ValueError("scale factors must satisfy |alpha_i| < 1")
     if np.sum(np.abs(alpha)) <= 1.0:

@@ -3,8 +3,11 @@
 Specs pair a partition with interpolation data, a scale vector, and a branch
 family: either affine maps F_i(x, y) = c_i x + d_i + alpha_i y, or the
 fractal-perturbation branch F built from a seed function and a base function.
-Fixed points are computed by iterating the operator on a uniform grid with
-linear interpolation at branch pre-images.
+Fixed points are computed on a uniform grid of m intervals.  When the knots
+are the N equal intervals and m = N^k, every branch pre-image of a grid node
+is a grid node, and the fixed point follows level by level from the
+self-referential equation (N-adic refinement).  Otherwise the operator is
+iterated with linear interpolation at branch pre-images.
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ class FifSpec:
             raise ValueError("ys length must equal knot count")
         if self.alpha.shape != (n,):
             raise ValueError("alpha length must equal interval count")
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.ys))):
+            raise ValueError("scale factors and ordinates must be finite")
         if np.any(np.abs(self.alpha) >= 1.0):
             raise ValueError("scale factors must satisfy |alpha_i| < 1")
         if isinstance(self.branch, AffineBranch):
@@ -178,22 +183,99 @@ class FifFunction(Func):
         return self.grid.interp(x)
 
 
+def _refinement_depth(spec: FifSpec, m: int) -> int | None:
+    """k with m = N^k >= N when the knots are exactly N equal intervals, else None."""
+    n = spec.partition.n_intervals
+    if not np.array_equal(spec.partition.knots, np.linspace(0.0, 1.0, n + 1)):
+        return None
+    depth, size = 0, 1
+    while size < m:
+        size *= n
+        depth += 1
+    return depth if size == m and depth > 0 else None
+
+
+def _settle_end(lin_end: float, a: float, y: float) -> float:
+    """Fixed point of the endpoint equation f = lin_end + a f.
+
+    Iterated from the interpolation ordinate y, as grid iteration does, so
+    both paths land on the same floating-point value; a start that has not
+    settled after 64 steps is replaced by the closed form.
+    """
+    for _ in range(64):
+        nxt = lin_end + a * y
+        if nxt == y:
+            return y
+        y = nxt
+    return lin_end / (1.0 - a)
+
+
+def _refine(spec: FifSpec, m: int, depth: int):
+    """Fixed point on m = N^depth intervals of the uniform N-partition.
+
+    Node i*p + r of the grid with p = m / N lies on branch i at u = r / p
+    (interior knots on their left branch), and its pre-image u is node N*r.
+    So level k of the N-adic grid follows from level k - 1 exactly:
+    g_k[i*p_k + r] = lin(i, r / p_k) + alpha_i g_{k-1}[r], r = 1..p_k.
+    Returns the grid and sup |T g - g| over all m + 1 nodes.
+    """
+    n = spec.partition.n_intervals
+    p = m // n
+    u = np.arange(p + 1) / p
+    al = spec.alpha[:, None]
+    # lin[i, r]: the branch-i part of T at u = r / p, i.e. at node i*p + r
+    if isinstance(spec.branch, AffineBranch):
+        lin = spec.branch.c[:, None] * u + spec.branch.d[:, None]
+    else:
+        seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
+        rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
+        lin = rows - al * spec.branch.base._eval(u)
+    g = np.array([
+        _settle_end(lin[0, 0], spec.alpha[0], spec.ys[0]),
+        _settle_end(lin[-1, -1], spec.alpha[-1], spec.ys[-1]),
+    ])
+    for level in range(1, depth + 1):
+        step = n ** (depth - level)
+        finer = np.empty(n * (g.size - 1) + 1)
+        finer[0] = g[0]
+        finer[1:].reshape(n, -1)[...] = lin[:, step::step] + al * g[1:]
+        g = finer
+    residual = max(
+        abs(lin[0, 0] + spec.alpha[0] * g[0] - g[0]),
+        np.max(np.abs(lin[:, 1:] + al * g[n::n] - g[1:].reshape(n, p))),
+    )
+    return g, float(residual)
+
+
 def solve_fixed_point(
     spec: FifSpec,
     m: int = DEFAULT_RESOLUTION,
     tol: float = DEFAULT_TOL,
     max_iterations: int | None = None,
 ) -> FifFunction:
-    """Iterate the operator from the broken-line interpolant until converged.
+    """Fixed point of the branch-map operator on the grid j/m, j = 0..m.
 
+    N-adic refinement runs when the knots equal np.linspace(0, 1, N + 1)
+    exactly, m = N^k with k >= 1, and s = max|alpha_i| > 0.  Every branch
+    pre-image of a grid node is then a grid node, so the fixed point is
+    built level by level from the endpoint values in O(m) work with no
+    stopping rule; iterations reports k, and the residual is sup|T g - g|
+    over the grid with exact pre-images.  tol and max_iterations do not
+    apply on this path.
+
+    Otherwise the operator is iterated from the broken-line interpolant.
     The stopping rule converts successive-iterate distance to a residual
     bound via the contraction inequality: once sup|g_{k+1} - g_k| is below
-    tol (1 - s) / s with s = max|alpha_i|, the self-referential residual of
-    the final iterate is below tol.  max_iterations caps the iteration
-    budget below the contraction-rate estimate.
+    tol (1 - s) / s, the self-referential residual of the final iterate is
+    below tol.  max_iterations caps the iteration budget below the
+    contraction-rate estimate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    depth = _refinement_depth(spec, m) if spec.contraction_factor > 0.0 else None
+    if depth is not None:
+        g, residual = _refine(spec, m, depth)
+        return FifFunction(spec=spec, grid=GridFunction(m, g), residual=residual, iterations=depth)
     xs, apply = _make_applier(spec, m)
     g = np.interp(xs, spec.partition.knots, spec.ys)
     s = spec.contraction_factor

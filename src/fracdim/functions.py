@@ -50,6 +50,8 @@ def _check_domain(x):
     if arr.size:
         lo = float(arr.min())
         hi = float(arr.max())
+        if math.isnan(lo):  # min propagates NaN
+            raise DomainError("evaluation point is NaN")
         if lo < -_X_SLACK or hi > 1.0 + _X_SLACK:
             bad = lo if lo < -_X_SLACK else hi
             raise DomainError(f"evaluation point {bad!r} outside [0, 1]")
@@ -180,7 +182,11 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        """Read an x,y CSV whose x column is the uniform grid j/m, j = 0..m."""
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        xs = np.linspace(0.0, 1.0, data.shape[0])
+        if not np.all(np.abs(data[:, 0] - xs) <= 1e-12):
+            raise ValueError("x column must be the uniform grid j/m, j = 0..m, in order")
         return cls(data.shape[0] - 1, data[:, 1])
 
 

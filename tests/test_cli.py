@@ -59,6 +59,11 @@ class TestPredictDim:
         res = run("predict-dim", "--spec", "{not json")
         assert res.exit_code == 1
 
+    def test_nan_alpha_exits_one(self):
+        res = run("predict-dim", "--spec",
+                  '{"data": [[0, 0], [0.5, 1], [1, 0]], "alpha": [NaN, 0.7]}')
+        assert res.exit_code == 1
+
     def test_spec_from_file(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(TENT))
@@ -99,6 +104,16 @@ class TestEstimateDim:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "j,delta,count"
         assert len(lines) == 8
+
+    def test_csv_shuffled_rows_exit_one(self, tmp_path):
+        path = tmp_path / "w.csv"
+        assert run("generate", "weierstrass", "--m", str(2 ** 10), "--out", str(path)).exit_code == 0
+        header, *rows = path.read_text().splitlines()
+        rows = [rows[k] for k in np.random.default_rng(0).permutation(len(rows))]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        res = run("estimate-dim", "--csv", str(path), "--jmin", "3", "--jmax", "8")
+        assert res.exit_code == 1
+        assert "x column" in res.stderr
 
 
 class TestApproximate:

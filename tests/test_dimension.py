@@ -52,6 +52,10 @@ class TestRoot:
         assert got == pytest.approx(expected, abs=1e-10)
         assert abs(0.9 * (0.25 ** (got - 1) + 0.75 ** (got - 1)) - 1.0) <= 1e-12
 
+    def test_rejects_nan_length(self):
+        with pytest.raises(ValueError):
+            fd.dimension_equation_root([math.nan, 0.5], [0.8, 0.8])
+
     def test_rejects_subcritical(self):
         with pytest.raises(HypothesisError):
             fd.dimension_equation_root([0.5, 0.5], [0.4, 0.4])
@@ -93,6 +97,16 @@ class TestPredictBox:
         d = fd.DataSet(np.array([0, 0.5, 1.0]), np.array([0, 1.0, 0.0]))
         with pytest.raises(ValueError):
             fd.predict_box_dim(d, [1.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_alpha(self, bad):
+        d = fd.DataSet(np.array([0, 0.5, 1.0]), np.array([0, 1.0, 0.0]))
+        with pytest.raises(ValueError):
+            fd.predict_box_dim(d, [bad, 0.7])
+        with pytest.raises(ValueError):
+            fd.predict_hausdorff_dim(d, [bad, 0.7])
+        with pytest.raises(ValueError):
+            fd.dimension_equation_root([0.5, 0.5], [bad, 0.7])
 
 
 class TestHausdorffCondition:

@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracdim as fd
+from fracdim import fif as fif_module
 from fracdim.errors import ConvergenceError
 
 
@@ -96,6 +99,17 @@ class TestSpecValidation:
     def test_rejects_non_contractive_alpha(self):
         with pytest.raises(ValueError):
             fd.make_affine_spec([0, 0.5, 1], [0, 1, 0], [1.0, 0.5])
+
+    @pytest.mark.parametrize("ys, alpha", [
+        ([0.0, 1.0, 0.0], [np.nan, 0.5]),
+        ([0.0, 1.0, 0.0], [0.5, -np.inf]),
+        ([0.0, np.nan, 0.0], [0.5, 0.5]),
+        ([np.inf, 1.0, 0.0], [0.5, 0.5]),
+    ])
+    def test_rejects_non_finite(self, ys, alpha):
+        with pytest.raises(ValueError):
+            fd.FifSpec(fd.Partition([0.0, 0.5, 1.0]), ys, alpha,
+                       fd.AffineBranch(np.zeros(2), np.zeros(2)))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -248,3 +262,112 @@ class TestJson:
         assert np.allclose(
             fd.rb_apply(back, g).values, fd.rb_apply(spec, g).values
         )
+
+
+def iterate_rb_apply(spec, m, tol):
+    """Public-operator iteration from the broken line until steps fall below tol."""
+    xs = np.linspace(0.0, 1.0, m + 1)
+    g = fd.GridFunction(m, np.interp(xs, spec.partition.knots, spec.ys))
+    for _ in range(10_000):
+        nxt = fd.rb_apply(spec, g)
+        step = np.max(np.abs(nxt.values - g.values))
+        g = nxt
+        if step <= tol:
+            return g.values
+    raise AssertionError("rb_apply iteration did not settle")
+
+
+def address_oracle(spec, m):
+    """Affine FIF at nodes j/m, j < m, by Barnsley's address recursion.
+
+    For N a power of two, x N is exact in binary, so x reaches 0 (where
+    f = y_0) after at most log_N m steps.  Independent of the solver.
+    """
+    n = spec.partition.n_intervals
+    c, d, al = spec.branch.c, spec.branch.d, spec.alpha
+    x = np.arange(m) / m
+    val = np.zeros(m)
+    prod = np.ones(m)
+    while np.any(x > 0.0):
+        live = x > 0.0
+        i = np.minimum((x * n).astype(np.int64), n - 1)
+        u = x * n - i
+        val = np.where(live, val + prod * (c[i] * u + d[i]), val)
+        prod = np.where(live, prod * al[i], prod)
+        x = np.where(live, u, 0.0)
+    return val + prod * spec.ys[0]
+
+
+class TestNAdicRefinement:
+    @given(
+        n=st.sampled_from([2, 3, 4, 5]),
+        level=st.integers(1, 16),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_iteration_residual_and_oracle(self, n, level, seed):
+        depth = min(level, int(np.floor(16 * np.log(2) / np.log(n) + 1e-9)))
+        m = n ** depth
+        rng = np.random.default_rng(seed)
+        ys = rng.uniform(-1.0, 1.0, n + 1)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        spec = fd.make_affine_spec(np.linspace(0.0, 1.0, n + 1), ys, alpha)
+        fif = fd.solve_fixed_point(spec, m=m)
+        assert fif.iterations == depth
+        g = fif.grid.values
+        scale = max(float(np.max(np.abs(g))), 1.0)
+        res = fd.self_ref_residual(spec, fif.grid)
+        diff = np.max(np.abs(iterate_rb_apply(spec, m, 1e-14) - g))
+        if n in (2, 4):
+            assert res <= 1e-12 * scale
+            assert diff <= 1e-10
+            assert np.max(np.abs(address_oracle(spec, m) - g[:-1])) <= 1e-12 * scale
+        else:
+            # the general applier locates pre-images as u * m, which is exact
+            # only for N a power of two; otherwise it is off by about m * eps,
+            # and its fixed point lies within res / (1 - s) of g
+            assert res <= max(1e-12, 4 * m * np.finfo(float).eps) * scale
+            assert diff <= max(1e-10, 2 * (res + 1e-14) / (1 - spec.contraction_factor))
+
+    @pytest.mark.parametrize(
+        "knots, m, refined",
+        [
+            ([0.0, 0.5, 1.0], 2 ** 16, True),
+            (np.linspace(0.0, 1.0, 4), 3 ** 10, True),
+            ([0.0, 0.3, 1.0], 2 ** 16, False),
+            (np.linspace(0.0, 1.0, 4), 2 ** 16, False),
+        ],
+    )
+    def test_dispatch(self, monkeypatch, knots, m, refined):
+        calls = []
+        real = fif_module._make_applier
+
+        def spy(spec, m):
+            calls.append(m)
+            return real(spec, m)
+
+        monkeypatch.setattr(fif_module, "_make_applier", spy)
+        n = len(knots) - 1
+        spec = fd.make_affine_spec(knots, np.r_[0.0, np.ones(n - 1), 0.0], np.full(n, 0.6))
+        fif = fd.solve_fixed_point(spec, m=m)
+        assert (not calls) == refined
+        assert fif.residual <= 1e-10
+
+    def test_alpha_fractal_equals_iteration_exactly(self):
+        m = 2 ** 12
+        approx = fd.dim_preserving_sequence(fd.Polynomial([0.1, 2.0, -3.0, 1.0]), 1.5, 16, m=m)
+        spec = approx.fif.spec
+        assert np.array_equal(spec.partition.knots, [0.0, 0.5, 1.0])
+        assert approx.fif.iterations == 12
+        assert np.array_equal(iterate_rb_apply(spec, m, 0.0), approx.fif.grid.values)
+
+    def test_endpoints_follow_the_operator_not_stray_ordinates(self):
+        # alpha-fractal branches ignore ys; f(0) and f(1) solve their own
+        # endpoint equations, here seed(0) = base(0) = 0 and seed(1) = base(1) = 1
+        seed = fd.Polynomial([0, 0, 1])
+        spec = fd.make_alpha_fractal_spec([0, 0.5, 1], [0.9, 0.9], seed,
+                                          fd.Polynomial([0, 1]), ys=[5.0, 5.0, 5.0])
+        fif = fd.solve_fixed_point(spec, m=2 ** 10)
+        assert fif.grid.values[0] == pytest.approx(0.0, abs=1e-15)
+        assert fif.grid.values[-1] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(iterate_rb_apply(spec, 2 ** 10, 1e-14) - fif.grid.values)) <= 1e-10

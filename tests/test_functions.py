@@ -33,6 +33,12 @@ class TestEval:
         with pytest.raises(DomainError):
             fd.Polynomial([0, 1])(-0.1)
 
+    def test_nan_point_is_domain_error(self):
+        with pytest.raises(DomainError):
+            fd.Polynomial([0, 1])(float("nan"))
+        with pytest.raises(DomainError):
+            fd.WeierstrassSeries(0.5, 3)(np.array([0.2, np.nan, 0.7]))
+
     def test_weierstrass_default_truncation_tail(self):
         w = fd.WeierstrassSeries(0.5, 3)
         tail = w.a ** (w.k_max + 1) / (1 - w.a)
@@ -156,6 +162,23 @@ class TestPartitionAndGrid:
         back = fd.GridFunction.from_csv(path)
         assert back.m == 16
         assert np.allclose(back.values, g.values)
+
+    def test_grid_csv_roundtrip_is_exact_off_dyadic_grid(self, tmp_path):
+        g = fd.sample(fd.WeierstrassSeries(0.5, 3), 3 ** 5)
+        path = tmp_path / "g.csv"
+        g.to_csv(path)
+        assert np.array_equal(fd.GridFunction.from_csv(path).values, g.values)
+
+    @pytest.mark.parametrize("xs", [
+        np.linspace(0, 1, 9)[[0, 2, 1, 3, 4, 5, 6, 7, 8]],  # out of order
+        np.linspace(0, 1, 9) ** 2,  # not uniform
+        np.linspace(0, 0.5, 9),  # does not span [0, 1]
+    ])
+    def test_grid_csv_rejects_other_x_columns(self, tmp_path, xs):
+        path = tmp_path / "bad.csv"
+        fd.write_xy_csv(path, xs, np.zeros(9))
+        with pytest.raises(ValueError):
+            fd.GridFunction.from_csv(path)
 
 
 class TestJson:
