@@ -4,7 +4,7 @@ Specs pair a partition with interpolation data, a scale vector, and a branch
 family: either affine maps F_i(x, y) = c_i x + d_i + alpha_i y, or the
 fractal-perturbation branch F built from a seed function and a base function.
 Fixed points are computed on a uniform grid of m intervals.  When the knots
-are the N equal intervals and m = N^k, every branch pre-image of a grid node
+are N >= 2 equal intervals and m = N^k, every branch pre-image of a grid node
 is a grid node, and the fixed point follows level by level from the
 self-referential equation (N-adic refinement).  Otherwise the operator is
 iterated with linear interpolation at branch pre-images.
@@ -184,9 +184,9 @@ class FifFunction(Func):
 
 
 def _refinement_depth(spec: FifSpec, m: int) -> int | None:
-    """k with m = N^k >= N when the knots are exactly N equal intervals, else None."""
+    """k with m = N^k >= N when the knots are exactly N >= 2 equal intervals, else None."""
     n = spec.partition.n_intervals
-    if not np.array_equal(spec.partition.knots, np.linspace(0.0, 1.0, n + 1)):
+    if n < 2 or not np.array_equal(spec.partition.knots, np.linspace(0.0, 1.0, n + 1)):
         return None
     depth, size = 0, 1
     while size < m:
@@ -256,12 +256,12 @@ def solve_fixed_point(
     """Fixed point of the branch-map operator on the grid j/m, j = 0..m.
 
     N-adic refinement runs when the knots equal np.linspace(0, 1, N + 1)
-    exactly, m = N^k with k >= 1, and s = max|alpha_i| > 0.  Every branch
-    pre-image of a grid node is then a grid node, so the fixed point is
-    built level by level from the endpoint values in O(m) work with no
-    stopping rule; iterations reports k, and the residual is sup|T g - g|
-    over the grid with exact pre-images.  tol and max_iterations do not
-    apply on this path.
+    exactly with N >= 2, m = N^k with k >= 1, and s = max|alpha_i| > 0.
+    Every branch pre-image of a grid node is then a grid node, so the fixed
+    point is built level by level from the endpoint values in O(m) work with
+    no stopping rule; iterations reports k, and the residual is
+    sup|T g - g| over the grid with exact pre-images.  tol and
+    max_iterations do not apply on this path.
 
     Otherwise the operator is iterated from the broken-line interpolant.
     The stopping rule converts successive-iterate distance to a residual

@@ -194,6 +194,16 @@ class TestGenerate:
         tent = 1.0 - np.abs(2.0 * rows[:, 0] - 1.0)
         assert np.max(np.abs(rows[:, 1] - tent)) <= 1e-12
 
+    def test_fif_one_interval(self, tmp_path):
+        # one branch maps [0, 1] onto itself; the fixed point is the chord
+        spec = {"branch": "affine", "knots": [0.0, 1.0], "ys": [0.0, 1.0], "alpha": [0.5]}
+        out = tmp_path / "fif.csv"
+        res = run("generate", "fif", "--spec", json.dumps(spec), "--out", str(out))
+        assert res.exit_code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert len(rows) == 2 ** 16 + 1
+        assert np.max(np.abs(rows[:, 1] - rows[:, 0])) <= 1e-12
+
     def test_chaos_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

@@ -151,9 +151,12 @@ class TestSolve:
         assert tent_half_fif(0.25) == pytest.approx(1.0, abs=1e-10)
         assert tent_half_fif(0.25) == pytest.approx(tent_oracle(0.25, 0.5), abs=1e-10)
 
-    def test_dyadic_points_against_oracle(self, tent_half_fif):
+    def test_dyadic_points_against_oracle(self, tent_half_spec, tent_half_fif):
+        # m = 3 * 2^10 is not a power of N = 2, so this solve iterates
+        iterated = fd.solve_fixed_point(tent_half_spec, m=3 * 2 ** 10, tol=1e-10)
         for x in (0.125, 0.375, 0.625, 0.875):
             assert tent_half_fif(x) == pytest.approx(tent_oracle(x, 0.5), abs=1e-9)
+            assert iterated(x) == pytest.approx(tent_oracle(x, 0.5), abs=1e-9)
 
     def test_knot_interpolation(self):
         spec = fd.make_affine_spec(
@@ -336,6 +339,7 @@ class TestNAdicRefinement:
             (np.linspace(0.0, 1.0, 4), 3 ** 10, True),
             ([0.0, 0.3, 1.0], 2 ** 16, False),
             (np.linspace(0.0, 1.0, 4), 2 ** 16, False),
+            ([0.0, 1.0], 2 ** 8, False),
         ],
     )
     def test_dispatch(self, monkeypatch, knots, m, refined):
