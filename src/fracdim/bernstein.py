@@ -1,16 +1,19 @@
 """Bernstein operator, its derivative, and the weighted second modulus.
 
-Evaluation uses the de Casteljau recurrence for moderate orders and a
-log-space binomial-weight path beyond that (raw binomial coefficients
-overflow near order 1030).
+One evaluator serves every order: Horner's rule in x/(1-x) (Schumaker and
+Volk 1986), O(n) per point.  Binomial coefficients are exact integers kept
+as mantissa/exponent pairs, and the accumulator is renormalised every 32
+coefficients, so orders in the thousands neither overflow nor underflow.
+The chord through the end coefficients is taken out first and added back
+exactly, which keeps affine data exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .functions import Func, _check_domain, sup_norm_diff
@@ -26,13 +29,11 @@ __all__ = [
     "TotikReport",
 ]
 
-# the recurrence is exact to ~1e-13 but O(n^2); the log-weight fallback
-# beyond this order trades a few digits for linear cost
-DE_CASTELJAU_MAX_ORDER = 1024
 DEFAULT_SUP_GRID = 4096  # panels; 4097 nodes resolves extrema up to n ~ 2000
 DEFAULT_MODULUS_GRID_T = 64
 DEFAULT_MODULUS_GRID_X = 4096
-_CHUNK = 16384
+_BLOCK = 32  # coefficients between renormalisations of the accumulator
+_CHUNK = 8192  # points per pass; keeps the Horner operands in cache
 
 
 @dataclass(eq=False)
@@ -60,45 +61,92 @@ def bernstein_build(f: Func, n: int) -> BernsteinPoly:
     return BernsteinPoly(n, f._eval(nodes))
 
 
-def _de_casteljau(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    r = coeffs.size - 1
-    out = np.empty_like(x)
-    for start in range(0, x.size, _CHUNK):
-        xs = x[start : start + _CHUNK]
-        b = np.broadcast_to(coeffs[:, None], (r + 1, xs.size)).copy()
-        for _ in range(r):
-            b = b[:-1] + xs * (b[1:] - b[:-1])
-        out[start : start + _CHUNK] = b[0]
-    return out
+@functools.lru_cache(maxsize=8)
+def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """C(n, k), k = 0..n, as mantissas in [1/2, 1) and integer exponents.
+
+    The integers are exact; as doubles they overflow near n = 1030, the
+    mantissa/exponent pairs never do.
+    """
+    mant = np.empty(n + 1)
+    expo = np.empty(n + 1, dtype=np.int64)
+    c = 1
+    for k in range(n + 1):
+        e = c.bit_length()
+        mant[k] = c / (1 << e)  # int / int rounds correctly
+        expo[k] = e
+        c = c * (n - k) // (k + 1)
+    return mant, expo
 
 
-def _log_weight_eval(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    r = coeffs.size - 1
-    k = np.arange(r + 1, dtype=float)
-    log_binom = gammaln(r + 1) - gammaln(k + 1) - gammaln(r - k + 1)
-    out = np.empty_like(x)
-    interior = (x > 0.0) & (x < 1.0)
-    out[x <= 0.0] = coeffs[0]
-    out[x >= 1.0] = coeffs[-1]
-    idx = np.nonzero(interior)[0]
-    # 2048-wide chunks keep the (r+1, chunk) weight matrix small
-    for start in range(0, idx.size, 2048):
-        sel = idx[start : start + 2048]
-        xs = x[sel]
-        logw = (
-            log_binom[:, None]
-            + k[:, None] * np.log(xs)[None, :]
-            + (r - k)[:, None] * np.log1p(-xs)[None, :]
+def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k a[k] C(n,k) y^k (1-y)^(n-k) for 0 <= y <= 1/2 and |a| <= 1.
+
+    Horner's rule in t = y/(1-y) <= 1 over a[n], ..., a[0], times (1-y)^n
+    at the end.  Coefficients run in blocks of _BLOCK, each scaled by the
+    power of two of its largest binomial.  Between blocks the accumulator is
+    a mantissa in [1/2, 1) and a per-point exponent, so neither binomials of
+    size 2^n nor powers t^n leave the double range.
+    """
+    n = a.size - 1
+    mant, expo = _binomials(n)
+    blocks = []  # (exponent, scaled coefficients from high index to low)
+    for lo in range(n - n % _BLOCK, -1, -_BLOCK):
+        hi = min(lo + _BLOCK, n + 1)
+        e = int(expo[lo:hi].max())
+        scaled = a[lo:hi] * np.ldexp(mant[lo:hi], expo[lo:hi] - e)
+        blocks.append((e, scaled[::-1].tolist()))
+    out = np.empty_like(y)
+    for start in range(0, y.size, _CHUNK):
+        ys = y[start : start + _CHUNK]
+        t = ys / (1.0 - ys)
+        t_mant, t_exp = np.frexp(t)
+        # t^_BLOCK as a mantissa >= 2^-_BLOCK and an exponent: no underflow
+        carry_mant = t_mant ** _BLOCK
+        carry_exp = _BLOCK * t_exp.astype(np.int64)
+        acc = exp = None
+        for e, coeffs in blocks:
+            p = np.full_like(ys, coeffs[0])
+            for ck in coeffs[1:]:
+                p *= t
+                p += ck
+            if acc is not None:  # acc * t^_BLOCK + p, at the larger exponent
+                prev = exp + carry_exp
+                top = np.maximum(prev, e)
+                p = np.ldexp(acc * carry_mant, prev - top) + np.ldexp(p, e - top)
+                e = top
+            acc, shift = np.frexp(p)
+            exp = e + shift
+        log2_scale = exp + n * np.log2(1.0 - ys)
+        whole = np.floor(log2_scale)
+        out[start : start + _CHUNK] = np.ldexp(
+            acc * np.exp2(log2_scale - whole), whole.astype(np.int64)
         )
-        out[sel] = coeffs @ np.exp(logw)
     return out
 
 
-def _bezier_value(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Value of sum_k coeffs[k] C(r,k) x^k (1-x)^(r-k) at each x."""
-    if coeffs.size - 1 <= DE_CASTELJAU_MAX_ORDER:
-        return _de_casteljau(coeffs, x)
-    return _log_weight_eval(coeffs, x)
+def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
+    """Value of sum_k coeffs[k] C(n,k) x^k (1-x)^(n-k) at each x in [0, 1].
+
+    B_n reproduces the chord l(x) = c_0 + (c_n - c_0) x exactly, so only the
+    remainder c_k - l(k/n) goes through the Horner sum; affine coefficients
+    come back as l itself.  Points above 1/2 use the mirror identity
+    B_n(c)(x) = B_n(reversed c)(1 - x), which keeps t <= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    n = coeffs.size - 1
+    first, last = coeffs[0], coeffs[-1]
+    out = first + (last - first) * x
+    rest = coeffs - (first + (last - first) * np.linspace(0.0, 1.0, n + 1))
+    scale = float(np.max(np.abs(rest)))
+    if scale == 0.0:
+        return out
+    rest /= scale
+    low = x <= 0.5
+    out[low] += scale * _lower_half(rest, x[low])
+    high = ~low
+    out[high] += scale * _lower_half(rest[::-1], 1.0 - x[high])
+    return out
 
 
 def bernstein_eval(p: BernsteinPoly, x):
@@ -115,11 +163,7 @@ def bernstein_derivative_eval(p: BernsteinPoly, x):
     (B_n f)'(x) = n * sum_k [f((k+1)/n) - f(k/n)] C(n-1,k) x^k (1-x)^(n-1-k).
     """
     arr = np.atleast_1d(_check_domain(x))
-    diffs = p.order * np.diff(p.samples)
-    if p.order == 1:
-        out = np.full_like(arr, diffs[0])
-    else:
-        out = _bezier_value(diffs, arr)
+    out = _bezier_value(p.order * np.diff(p.samples), arr)
     if np.ndim(x) == 0:
         return float(out[0])
     return out

@@ -10,10 +10,10 @@ log2 counts against the scale exponent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import DegenerateDenominatorError, HypothesisError, ScaleError
 from .functions import GridFunction
@@ -215,21 +215,13 @@ def box_count(g: GridFunction, j: int) -> int:
             f"scale 2^-{j} needs at least 2 samples per column but resolution is {g.m}"
         )
     vals = g.values
-    if g.m % n_cols == 0:
-        w = g.m // n_cols
-        resh = vals[:-1].reshape(n_cols, w)
-        right = vals[w::w]
-        cmax = np.maximum(resh.max(axis=1), right)
-        cmin = np.minimum(resh.min(axis=1), right)
-    else:
-        cmax = np.empty(n_cols)
-        cmin = np.empty(n_cols)
-        for k in range(n_cols):
-            lo = int(np.floor(k * g.m / n_cols))
-            hi = int(np.ceil((k + 1) * g.m / n_cols))
-            col = vals[lo : hi + 1]
-            cmax[k] = col.max()
-            cmin[k] = col.min()
+    # column k holds samples lo_k = floor(k m / 2^j) .. hi_k = ceil((k + 1) m / 2^j):
+    # reduce over [lo_k, lo_(k+1)), then fold in samples lo_(k+1) and hi_k
+    k = np.arange(n_cols + 1, dtype=np.int64)
+    lo = k * g.m // n_cols
+    hi = -(-(k[1:] * g.m) // n_cols)
+    cmax = np.maximum(np.maximum.reduceat(vals, lo[:-1]), np.maximum(vals[lo[1:]], vals[hi]))
+    cmin = np.minimum(np.minimum.reduceat(vals, lo[:-1]), np.minimum(vals[lo[1:]], vals[hi]))
     counts = np.floor(cmax / delta) - np.floor(cmin / delta) + 1.0
     return int(counts.sum())
 
@@ -246,11 +238,19 @@ def estimate_box_dim(
         raise ValueError("need at least 3 scales for a regression")
     js = np.arange(j_min, j_max + 1)
     counts = np.array([box_count(g, int(j)) for j in js], dtype=float)
-    fit = stats.linregress(js, np.log2(counts))
+    # least squares in closed form; r and the slope's standard error follow
+    # the usual conventions (r clipped to [-1, 1], r = 0 for flat counts)
+    dx = js - js.mean()
+    logs = np.log2(counts)
+    dy = logs - logs.mean()
+    sxx, syy, sxy = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    slope = sxy / sxx
+    r = 0.0 if syy == 0.0 else min(max(sxy / math.sqrt(sxx * syy), -1.0), 1.0)
+    stderr = math.sqrt((1.0 - r * r) * syy / sxx / (js.size - 2))
     return DimReport(
-        estimated=float(np.clip(fit.slope, 1.0, 2.0)),
-        raw_slope=float(fit.slope),
-        slope_stderr=float(fit.stderr),
-        r_squared=float(fit.rvalue ** 2),
+        estimated=min(max(slope, 1.0), 2.0),
+        raw_slope=slope,
+        slope_stderr=stderr,
+        r_squared=r * r,
         scales_used=[(float(2.0 ** -j), int(c)) for j, c in zip(js, counts)],
     )

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracdim as fd
 from fracdim.bernstein import BernsteinFunc
+
+# points where t = x/(1-x), its mirror or the final (1-x)^n scaling are
+# most delicate: subnormal and tiny x, both sides of 1/2, the ends
+EDGE_POINTS = [0.0, 5e-324, 1e-300, 0.5 - 1e-16, 0.5 + 1e-16, 1.0 - 1e-16, 1.0]
 
 
 def basis_sum(samples, x):
@@ -14,6 +20,24 @@ def basis_sum(samples, x):
         samples[k] * math.comb(n, k) * x ** k * (1 - x) ** (n - k)
         for k in range(n + 1)
     )
+
+
+def de_casteljau(samples, x):
+    """Independent oracle: the O(n^2) recurrence of convex combinations."""
+    b = np.broadcast_to(np.asarray(samples, dtype=float)[:, None], (len(samples), x.size))
+    for _ in range(len(samples) - 1):
+        b = b[:-1] + x * (b[1:] - b[:-1])
+    return b[0]
+
+
+@st.composite
+def bezier_cases(draw):
+    n = draw(st.integers(1, 64))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    samples = scale * np.array(draw(st.lists(unit, min_size=n + 1, max_size=n + 1)))
+    xs = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    return samples, np.array(xs + EDGE_POINTS)
 
 
 class TestBuild:
@@ -49,6 +73,34 @@ class TestEval:
         # the log-weight path beyond order 1024 gives up a couple of digits
         tol = 1e-12 if n <= 1024 else 5e-12
         assert np.max(np.abs(vals - (a + b * xs))) <= tol
+
+    @given(bezier_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_de_casteljau_oracle(self, case):
+        samples, xs = case
+        p = fd.BernsteinPoly(samples.size - 1, samples)
+        err = np.max(np.abs(fd.bernstein_eval(p, xs) - de_casteljau(samples, xs)))
+        assert err <= 4e-14 * max(np.max(np.abs(samples)), 1e-300)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [1025, 2000, 4000])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "random", "spike"])
+    def test_high_order_finite_and_bounded(self, n, kind):
+        rng = np.random.default_rng(n)
+        samples = {
+            "zero": np.zeros(n + 1),
+            "constant": np.full(n + 1, -2.5),
+            "random": rng.standard_normal(n + 1),
+            # all-zero blocks on both sides of one nonzero coefficient
+            "spike": np.eye(1, n + 1, n // 3).ravel(),
+        }[kind]
+        xs = np.concatenate([np.linspace(0, 1, 1001), EDGE_POINTS])
+        vals = fd.bernstein_eval(fd.BernsteinPoly(n, samples), xs)
+        assert np.all(np.isfinite(vals))
+        # B_n is a convex combination of the samples
+        slack = 1e-12 * max(np.max(np.abs(samples)), 1.0)
+        assert np.all(vals >= samples.min() - slack)
+        assert np.all(vals <= samples.max() + slack)
 
     @pytest.mark.parametrize("n", [4, 100, 600])
     def test_quadratic_identity(self, n):

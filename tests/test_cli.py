@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
 
+import fracdim
 from fracdim.cli import main
 
 TENT = {"data": [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]], "alpha": [0.75, 0.75]}
@@ -242,3 +247,15 @@ class TestExtend:
         bad = {"intervals": [[0.1, 0.4]], "values": {"kind": "polynomial", "coeffs": [0]}}
         res = run("extend", "--domain", json.dumps(bad), "--beta", "1.5")
         assert res.exit_code == 1
+
+
+def test_import_leaves_scipy_out():
+    # scipy costs about a second of start-up for every command; keep it out
+    src = str(Path(fracdim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    res = subprocess.run(
+        [sys.executable, "-c", "import fracdim.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert res.stdout.strip() == "False"

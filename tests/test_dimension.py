@@ -22,6 +22,16 @@ def bisect_oracle(lengths, alpha, tol=1e-13):
     return (lo + hi) / 2
 
 
+def box_count_loop(g, j):
+    """Independent oracle: one column at a time, samples floor(k m/2^j)..ceil((k+1) m/2^j)."""
+    n_cols = 2 ** j
+    total = 0
+    for k in range(n_cols):
+        col = g.values[math.floor(k * g.m / n_cols) : math.ceil((k + 1) * g.m / n_cols) + 1]
+        total += math.floor(col.max() * n_cols) - math.floor(col.min() * n_cols) + 1
+    return total
+
+
 class TestCollinear:
     def test_on_line(self):
         d = fd.DataSet(np.array([0, 0.5, 1.0]), np.array([0, 0.5, 1.0]))
@@ -196,6 +206,16 @@ class TestBoxCount:
         count = fd.box_count(g, 4)
         assert count >= 2 ** 4
 
+    @pytest.mark.parametrize("m", [1000, 100000, 2 ** 14])
+    def test_matches_column_loop(self, m):
+        g = fd.sample(fd.WeierstrassSeries(0.6, 3, 20), m)
+        for j in range(4, 13):
+            if 2 ** (j + 1) > m:
+                with pytest.raises(ScaleError):
+                    fd.box_count(g, j)
+            else:
+                assert fd.box_count(g, j) == box_count_loop(g, j)
+
 
 class TestEstimate:
     def test_identity_slope(self):
@@ -221,6 +241,26 @@ class TestEstimate:
         fif = fd.solve_fixed_point(spec, m=2 ** 18, tol=1e-8)
         rep = fd.estimate_box_dim(fif.grid, 4, 10)
         assert abs(rep.raw_slope - predicted) <= 0.15
+
+    @pytest.mark.parametrize(
+        "f, exact",
+        [(fd.WeierstrassSeries(0.6, 3, 20), False), (fd.Polynomial([0.37]), True)],
+    )
+    def test_fit_matches_polyfit_and_corrcoef(self, f, exact):
+        rep = fd.estimate_box_dim(fd.sample(f, 2 ** 16), 4, 12)
+        js = np.arange(4, 13)
+        logs = np.log2([count for _, count in rep.scales_used])
+        (slope, _), cov = np.polyfit(js, logs, 1, cov=True)
+        r = np.corrcoef(js, logs)[0, 1]
+        assert rep.raw_slope == pytest.approx(slope, rel=1e-12)
+        # the stderr goes through 1 - r^2 (5e-5 for the Weierstrass sample),
+        # which costs about four of the sixteen digits
+        assert rep.slope_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10, abs=1e-15)
+        assert rep.r_squared == pytest.approx(r * r, rel=1e-12)
+        if exact:  # counts 2^j: a perfect line
+            assert rep.raw_slope == 1.0
+            assert rep.r_squared == 1.0
+            assert rep.slope_stderr == 0.0
 
     def test_too_few_scales(self):
         g = fd.sample(fd.Polynomial([0, 1]), 2 ** 10)
