@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .functions import Func, _check_domain, sup_norm_diff
 
 __all__ = [

@@ -35,6 +35,8 @@ from .pipeline import (
     hausdorff_preserving_sequence,
 )
 
+APPROXIMATE_RESOLUTION = 2 ** 16
+
 
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
@@ -130,7 +132,14 @@ def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
 @click.option("--beta", type=float, required=True)
 @click.option("--mode", type=click.Choice(["box", "hausdorff", "dense", "derivative"]), required=True)
 @click.option("--n", "n", type=int, default=4, show_default=True)
-@click.option("--m", "m", type=int, default=2 ** 16, show_default=True, help="solve/sample resolution")
+@click.option(
+    "--m",
+    "m",
+    type=int,
+    default=None,
+    help="solve/sample resolution [default: 65536; hausdorff mode: the largest power of n "
+    "up to 65536, so the solve refines exactly]",
+)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--nonneg", is_flag=True, help="derivative mode: request a nonnegative primitive")
 @click.option("--out", "out_path", default=None, help="write approximant samples CSV here")
@@ -138,6 +147,8 @@ def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
 def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
     """Dimension-preserving approximant construction."""
     f = _load_func(func_arg)
+    if m is None and mode != "hausdorff":
+        m = APPROXIMATE_RESOLUTION
     if mode == "box":
         result = dim_preserving_sequence(f, beta, n, m=m, tol=tol)
         alpha = result.alpha
@@ -161,6 +172,10 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
         samples = result.fif.grid
     elif mode == "hausdorff":
         result = hausdorff_preserving_sequence(f, beta, n)
+        if m is None:
+            m = n
+            while m * n <= APPROXIMATE_RESOLUTION:
+                m *= n
         fif = solve_fixed_point(result.spec, m=m, tol=tol)
         payload = {
             "mode": "hausdorff",

@@ -9,7 +9,6 @@ log2 counts against the scale exponent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -199,21 +198,18 @@ def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
     )
 
 
-def box_count(g: GridFunction, j: int) -> int:
-    """Cells of the 2^-j mesh met by the sampled graph.
-
-    Per column the vertical extent is the interval [min, max] of the samples
-    there (continuity makes the column image an interval), so the count is
-    floor(max/delta) - floor(min/delta) + 1.
-    """
+def _check_scale(g: GridFunction, j: int) -> None:
     if j < 0:
         raise ValueError("scale exponent must be nonnegative")
-    n_cols = 1 << j
-    delta = 1.0 / n_cols
-    if 2.0 / g.m > delta:
+    if 2.0 / g.m > 1.0 / (1 << j):
         raise ScaleError(
             f"scale 2^-{j} needs at least 2 samples per column but resolution is {g.m}"
         )
+
+
+def _column_extents(g: GridFunction, j: int):
+    """Max and min of the samples in each column of the 2^-j mesh."""
+    n_cols = 1 << j
     vals = g.values
     # column k holds samples lo_k = floor(k m / 2^j) .. hi_k = ceil((k + 1) m / 2^j):
     # reduce over [lo_k, lo_(k+1)), then fold in samples lo_(k+1) and hi_k
@@ -222,8 +218,24 @@ def box_count(g: GridFunction, j: int) -> int:
     hi = -(-(k[1:] * g.m) // n_cols)
     cmax = np.maximum(np.maximum.reduceat(vals, lo[:-1]), np.maximum(vals[lo[1:]], vals[hi]))
     cmin = np.minimum(np.minimum.reduceat(vals, lo[:-1]), np.minimum(vals[lo[1:]], vals[hi]))
+    return cmax, cmin
+
+
+def _count(cmax: np.ndarray, cmin: np.ndarray, j: int) -> int:
+    delta = 1.0 / (1 << j)
     counts = np.floor(cmax / delta) - np.floor(cmin / delta) + 1.0
     return int(counts.sum())
+
+
+def box_count(g: GridFunction, j: int) -> int:
+    """Cells of the 2^-j mesh met by the sampled graph.
+
+    Per column the vertical extent is the interval [min, max] of the samples
+    there (continuity makes the column image an interval), so the count is
+    floor(max/delta) - floor(min/delta) + 1.
+    """
+    _check_scale(g, j)
+    return _count(*_column_extents(g, j), j)
 
 
 def estimate_box_dim(
@@ -231,13 +243,28 @@ def estimate_box_dim(
 ) -> DimReport:
     """Least-squares slope of log2 N_delta against j over [j_min, j_max].
 
+    The grid is reduced once, at j_max.  Column k of the 2^-j mesh spans
+    samples floor(k m / 2^j) .. ceil((k + 1) m / 2^j), exactly the union of
+    its two children at 2^-(j+1), which touch or overlap; so each coarser
+    scale takes its extents by merging adjacent columns, for any m, and its
+    count equals box_count(g, j).
+
     The summary estimate is clamped to [1, 2] (graph dimensions of continuous
     functions live there); the raw slope is preserved for diagnostics.
     """
     if j_max - j_min < 2:
         raise ValueError("need at least 3 scales for a regression")
     js = np.arange(j_min, j_max + 1)
-    counts = np.array([box_count(g, int(j)) for j in js], dtype=float)
+    scales = [int(j) for j in js]
+    for j in scales:
+        _check_scale(g, j)
+    cmax, cmin = _column_extents(g, scales[-1])
+    counts = [_count(cmax, cmin, scales[-1])]
+    for j in reversed(scales[:-1]):
+        cmax = np.maximum(cmax[0::2], cmax[1::2])
+        cmin = np.minimum(cmin[0::2], cmin[1::2])
+        counts.append(_count(cmax, cmin, j))
+    counts = np.array(counts[::-1], dtype=float)
     # least squares in closed form; r and the slope's standard error follow
     # the usual conventions (r clipped to [-1, 1], r = 0 for flat counts)
     dx = js - js.mean()

@@ -217,34 +217,46 @@ def _refine(spec: FifSpec, m: int, depth: int):
     (interior knots on their left branch), and its pre-image u is node N*r.
     So level k of the N-adic grid follows from level k - 1 exactly:
     g_k[i*p_k + r] = lin(i, r / p_k) + alpha_i g_{k-1}[r], r = 1..p_k.
+    Every level is built inside the returned array: level k fills
+    g[:N p_k + 1] from its prefix g[:p_k + 1], which holds level k - 1.
     Returns the grid and sup |T g - g| over all m + 1 nodes.
     """
     n = spec.partition.n_intervals
+    alpha = spec.alpha
     p = m // n
-    u = np.arange(p + 1) / p
-    al = spec.alpha[:, None]
+    u = np.arange(p + 1, dtype=float) / p
     # lin[i, r]: the branch-i part of T at u = r / p, i.e. at node i*p + r
     if isinstance(spec.branch, AffineBranch):
-        lin = spec.branch.c[:, None] * u + spec.branch.d[:, None]
+        # in place: a second full-size temporary costs more in fresh pages
+        # than the addition itself
+        lin = spec.branch.c[:, None] * u
+        lin += spec.branch.d[:, None]
     else:
         seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
         rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
-        lin = rows - al * spec.branch.base._eval(u)
-    g = np.array([
-        _settle_end(lin[0, 0], spec.alpha[0], spec.ys[0]),
-        _settle_end(lin[-1, -1], spec.alpha[-1], spec.ys[-1]),
-    ])
+        lin = rows - alpha[:, None] * spec.branch.base._eval(u)
+    g = np.empty(m + 1)
+    g[0] = _settle_end(lin[0, 0], alpha[0], spec.ys[0])
+    g[1] = _settle_end(lin[-1, -1], alpha[-1], spec.ys[-1])
+    pk = 1
     for level in range(1, depth + 1):
         step = n ** (depth - level)
-        finer = np.empty(n * (g.size - 1) + 1)
-        finer[0] = g[0]
-        finer[1:].reshape(n, -1)[...] = lin[:, step::step] + al * g[1:]
-        g = finer
-    residual = max(
-        abs(lin[0, 0] + spec.alpha[0] * g[0] - g[0]),
-        np.max(np.abs(lin[:, 1:] + al * g[n::n] - g[1:].reshape(n, p))),
-    )
-    return g, float(residual)
+        coarse = g[1:pk + 1]
+        # row 0 overwrites the prefix that the other rows read, so it goes last
+        for i in (*range(1, n), 0):
+            row = g[i * pk + 1:(i + 1) * pk + 1]
+            np.multiply(alpha[i], coarse, out=row)
+            row += lin[i, step::step]
+        pk *= n
+    # max |t| row by row through one buffer; abs keeps an all-zero row at +0.0
+    sups = [abs(lin[0, 0] + alpha[0] * g[0] - g[0])]
+    t = np.empty(p)
+    for i in range(n):
+        np.multiply(alpha[i], g[n::n], out=t)
+        t += lin[i, 1:]
+        t -= g[i * p + 1:(i + 1) * p + 1]
+        sups += [abs(t.max()), abs(t.min())]
+    return g, float(np.max(sups))
 
 
 def solve_fixed_point(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -359,9 +359,19 @@ def func_from_json(obj) -> Func:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
+CSV_BLOCK_ROWS = 4096
+
+
 def write_xy_csv(path, xs, ys) -> None:
     """CSV with header 'x,y' and 17 significant digits."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if xs.shape != ys.shape:
+        raise ValueError("xs and ys must have equal length")
     with open(path, "w", newline="") as fh:
         fh.write("x,y\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{x:.17g},{y:.17g}\n")
+        # one % operation per block of rows gives the digits of a per-row
+        # f-string at about half the cost; Python floats exist for one block
+        # at a time
+        for start in range(0, xs.size, CSV_BLOCK_ROWS):
+            block = np.column_stack((xs[start:start + CSV_BLOCK_ROWS], ys[start:start + CSV_BLOCK_ROWS]))
+            fh.write("%.17g,%.17g\n" * len(block) % tuple(block.ravel().tolist()))

@@ -34,7 +34,6 @@ from .fif import (
 )
 from .functions import (
     Func,
-    GridBacked,
     Partition,
     PiecewiseLinear,
     AntiDerivative,

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import fracdim
@@ -148,6 +149,19 @@ class TestApproximate:
         assert payload["perturbed"] is True
         assert abs(payload["alpha"] - 0.5) < 1e-12
         assert abs(payload["predicted"] - 1.5) < 1e-9
+
+    @pytest.mark.parametrize("m_arg, rows", [(None, 3 ** 10 + 1), ("4096", 4097)])
+    def test_hausdorff_default_m_is_a_power_of_n(self, tmp_path, m_arg, rows):
+        out = tmp_path / "haus.csv"
+        args = ["approximate", "--func", self.QUAD, "--beta", "1.5",
+                "--mode", "hausdorff", "--n", "3", "--out", str(out)]
+        res = run(*args, *(["--m", m_arg] if m_arg else []))
+        assert res.exit_code == 0
+        assert len(np.loadtxt(out, delimiter=",", skiprows=1)) == rows
+        if m_arg is None:
+            residual = json.loads(res.stdout)["residual"]
+            assert residual <= 1e-12
+            assert not np.signbit(residual)
 
     def test_dense_mode(self, tmp_path):
         out = tmp_path / "dense.csv"

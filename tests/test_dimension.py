@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,26 @@ class TestBoxCount:
                     fd.box_count(g, j)
             else:
                 assert fd.box_count(g, j) == box_count_loop(g, j)
+
+
+class TestScalePyramid:
+    @pytest.mark.parametrize("m", [1000, 100000, 3 * 2 ** 10, 7 * 2 ** 13, 2 ** 16, 2 ** 20])
+    def test_merged_columns_equal_box_count(self, m):
+        rng = np.random.default_rng(m)
+        g = fd.GridFunction(m, rng.standard_normal(m + 1).cumsum() / math.sqrt(m))
+        finest = m.bit_length() - 2  # largest j with 2^(j+1) <= m
+        rep = fd.estimate_box_dim(g, 0, finest)
+        assert rep.scales_used == [(2.0 ** -j, fd.box_count(g, j)) for j in range(finest + 1)]
+
+    @pytest.mark.parametrize("m", [1000, 2 ** 12])
+    def test_bad_scales_raise_as_box_count(self, m):
+        g = fd.sample(fd.Polynomial([0, 1]), m)
+        finest = m.bit_length() - 2
+        for j_min, j_max, first_bad in [(finest - 3, finest + 2, finest + 1), (-1, 5, -1), (-2, finest + 1, -2)]:
+            with pytest.raises(Exception) as want:
+                fd.box_count(g, first_bad)
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                fd.estimate_box_dim(g, j_min, j_max)
 
 
 class TestEstimate:

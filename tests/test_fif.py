@@ -301,6 +301,35 @@ def address_oracle(spec, m):
     return val + prod * spec.ys[0]
 
 
+def allocating_refine(spec, m, depth):
+    """Level-by-level refinement with a fresh array per level, as a bit-exact oracle."""
+    n = spec.partition.n_intervals
+    p = m // n
+    u = np.arange(p + 1) / p
+    al = spec.alpha[:, None]
+    if isinstance(spec.branch, fd.AffineBranch):
+        lin = spec.branch.c[:, None] * u + spec.branch.d[:, None]
+    else:
+        seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
+        rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
+        lin = rows - al * spec.branch.base._eval(u)
+    g = np.array([
+        fif_module._settle_end(lin[0, 0], spec.alpha[0], spec.ys[0]),
+        fif_module._settle_end(lin[-1, -1], spec.alpha[-1], spec.ys[-1]),
+    ])
+    for level in range(1, depth + 1):
+        step = n ** (depth - level)
+        finer = np.empty(n * (g.size - 1) + 1)
+        finer[0] = g[0]
+        finer[1:].reshape(n, -1)[...] = lin[:, step::step] + al * g[1:]
+        g = finer
+    residual = max(
+        abs(lin[0, 0] + spec.alpha[0] * g[0] - g[0]),
+        np.max(np.abs(lin[:, 1:] + al * g[n::n] - g[1:].reshape(n, p))),
+    )
+    return g, float(residual)
+
+
 class TestNAdicRefinement:
     @given(
         n=st.sampled_from([2, 3, 4, 5]),
@@ -331,6 +360,34 @@ class TestNAdicRefinement:
             # and its fixed point lies within res / (1 - s) of g
             assert res <= max(1e-12, 4 * m * np.finfo(float).eps) * scale
             assert diff <= max(1e-10, 2 * (res + 1e-14) / (1 - spec.contraction_factor))
+
+    @given(
+        n=st.sampled_from([2, 3, 4, 5]),
+        level=st.integers(1, 16),
+        affine=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_place_levels_equal_allocating_oracle(self, n, level, affine, seed):
+        depth = min(level, int(np.floor(16 * np.log(2) / np.log(n) + 1e-9)))
+        m = n ** depth
+        rng = np.random.default_rng(seed)
+        knots = np.linspace(0.0, 1.0, n + 1)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        if affine:
+            spec = fd.make_affine_spec(knots, rng.uniform(-1.0, 1.0, n + 1), alpha)
+        else:
+            coeffs = rng.uniform(-1.0, 1.0, 4)
+            bump = rng.uniform(-1.0, 1.0)
+            seed_fn = fd.Polynomial(coeffs)
+            base_fn = fd.Polynomial(coeffs + [0.0, bump, -bump, 0.0])
+            spec = fd.make_alpha_fractal_spec(knots, alpha, seed_fn, base_fn)
+        fif = fd.solve_fixed_point(spec, m=m)
+        assert fif.iterations == depth
+        want, want_res = allocating_refine(spec, m, depth)
+        assert np.array_equal(fif.grid.values, want)
+        assert fif.residual == want_res
+        assert not np.signbit(fif.residual)  # a sup of absolute values is never -0.0
 
     @pytest.mark.parametrize(
         "knots, m, refined",

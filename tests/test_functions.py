@@ -180,6 +180,23 @@ class TestPartitionAndGrid:
         with pytest.raises(ValueError):
             fd.GridFunction.from_csv(path)
 
+    @pytest.mark.parametrize("rows", [1, 7, fd.functions.CSV_BLOCK_ROWS, 2 * fd.functions.CSV_BLOCK_ROWS + 5])
+    def test_csv_bytes_equal_per_row_format(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        specials = [0.0, -0.0, 5e-324, -1e300, 1 / 3, np.inf, -np.nan]
+        xs = rng.uniform(-1.0, 1.0, rows)
+        ys = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        xs[: len(specials)] = specials[:rows]
+        ys[-len(specials):] = specials[-rows:]
+        path = tmp_path / "xy.csv"
+        fd.write_xy_csv(path, xs, ys)
+        want = "x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in zip(xs, ys))
+        assert path.read_bytes() == want.encode()
+
+    def test_csv_rejects_unequal_lengths(self, tmp_path):
+        with pytest.raises(ValueError):
+            fd.write_xy_csv(tmp_path / "xy.csv", np.zeros(5), np.zeros(4))
+
 
 class TestJson:
     def test_roundtrip_all_kinds(self):
