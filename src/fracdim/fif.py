@@ -210,6 +210,11 @@ def _settle_end(lin_end: float, a: float, y: float) -> float:
     return lin_end / (1.0 - a)
 
 
+# nodes per block of a refinement level: a block's rows and its lin values
+# stay in cache, so each level streams over the grid once
+_REFINE_BLOCK = 1 << 14
+
+
 def _refine(spec: FifSpec, m: int, depth: int):
     """Fixed point on m = N^depth intervals of the uniform N-partition.
 
@@ -218,44 +223,62 @@ def _refine(spec: FifSpec, m: int, depth: int):
     So level k of the N-adic grid follows from level k - 1 exactly:
     g_k[i*p_k + r] = lin(i, r / p_k) + alpha_i g_{k-1}[r], r = 1..p_k.
     Every level is built inside the returned array: level k fills
-    g[:N p_k + 1] from its prefix g[:p_k + 1], which holds level k - 1.
+    g[:N p_k + 1] from its prefix g[:p_k + 1], which holds level k - 1,
+    in blocks of _REFINE_BLOCK values of r.
     Returns the grid and sup |T g - g| over all m + 1 nodes.
     """
     n = spec.partition.n_intervals
     alpha = spec.alpha
     p = m // n
-    u = np.arange(p + 1, dtype=float) / p
-    # lin[i, r]: the branch-i part of T at u = r / p, i.e. at node i*p + r
     if isinstance(spec.branch, AffineBranch):
-        # in place: a second full-size temporary costs more in fresh pages
-        # than the addition itself
-        lin = spec.branch.c[:, None] * u
-        lin += spec.branch.d[:, None]
+        c, d = spec.branch.c[:, None], spec.branch.d[:, None]
+
+        def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
+            """lin[i, r] for r = lo..hi-1 on p_k intervals per branch, shape (N, hi - lo)."""
+            # r / p_k and (r p / p_k) / p round the same quotient, so u is
+            # the same double on every level
+            u = np.arange(lo, hi, dtype=float)
+            u /= pk
+            out = c * u
+            out += d
+            return out
     else:
         seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
         rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
-        lin = rows - alpha[:, None] * spec.branch.base._eval(u)
+        lin = rows - alpha[:, None] * spec.branch.base._eval(np.arange(p + 1, dtype=float) / p)
+
+        def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
+            step = p // pk
+            return lin[:, step * lo:step * (hi - 1) + 1:step]
+
     g = np.empty(m + 1)
-    g[0] = _settle_end(lin[0, 0], alpha[0], spec.ys[0])
-    g[1] = _settle_end(lin[-1, -1], alpha[-1], spec.ys[-1])
+    g[0] = _settle_end(lin_block(0, 1, 1)[0, 0], alpha[0], spec.ys[0])
+    g[1] = _settle_end(lin_block(1, 2, 1)[-1, 0], alpha[-1], spec.ys[-1])
     pk = 1
-    for level in range(1, depth + 1):
-        step = n ** (depth - level)
-        coarse = g[1:pk + 1]
-        # row 0 overwrites the prefix that the other rows read, so it goes last
-        for i in (*range(1, n), 0):
-            row = g[i * pk + 1:(i + 1) * pk + 1]
-            np.multiply(alpha[i], coarse, out=row)
-            row += lin[i, step::step]
+    for _ in range(depth):
+        for lo in range(0, pk, _REFINE_BLOCK):
+            hi = min(lo + _REFINE_BLOCK, pk)
+            lin_k = lin_block(lo + 1, hi + 1, pk)
+            coarse = g[lo + 1:hi + 1]
+            # row 0 overwrites the coarse values that the other rows read, so it goes last
+            for i in (*range(1, n), 0):
+                row = g[i * pk + lo + 1:i * pk + hi + 1]
+                np.multiply(alpha[i], coarse, out=row)
+                row += lin_k[i]
         pk *= n
-    # max |t| row by row through one buffer; abs keeps an all-zero row at +0.0
-    sups = [abs(lin[0, 0] + alpha[0] * g[0] - g[0])]
-    t = np.empty(p)
-    for i in range(n):
-        np.multiply(alpha[i], g[n::n], out=t)
-        t += lin[i, 1:]
-        t -= g[i * p + 1:(i + 1) * p + 1]
-        sups += [abs(t.max()), abs(t.min())]
+    # max |t| block by block; abs keeps an all-zero block at +0.0
+    sups = [abs(lin_block(0, 1, p)[0, 0] + alpha[0] * g[0] - g[0])]
+    t = np.empty(min(p, _REFINE_BLOCK))
+    for lo in range(0, p, _REFINE_BLOCK):
+        hi = min(lo + _REFINE_BLOCK, p)
+        lin_p = lin_block(lo + 1, hi + 1, p)
+        pre = g[n * (lo + 1):n * hi + 1:n]  # g[N r]: the pre-images of nodes i*p + r
+        tb = t[:hi - lo]
+        for i in range(n):
+            np.multiply(alpha[i], pre, out=tb)
+            tb += lin_p[i]
+            tb -= g[i * p + lo + 1:i * p + hi + 1]
+            sups += [abs(tb.max()), abs(tb.min())]
     return g, float(np.max(sups))
 
 

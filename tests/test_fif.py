@@ -389,6 +389,27 @@ class TestNAdicRefinement:
         assert fif.residual == want_res
         assert not np.signbit(fif.residual)  # a sup of absolute values is never -0.0
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
+    @pytest.mark.parametrize("n, depth", [(2, 9), (3, 6), (4, 5), (5, 3)])
+    @pytest.mark.parametrize("affine", [True, False])
+    def test_blocks_of_any_size_equal_allocating_oracle(self, monkeypatch, block, n, depth, affine):
+        # blocks that do not divide p_k leave a short last block on every level
+        monkeypatch.setattr(fif_module, "_REFINE_BLOCK", block)
+        m = n ** depth
+        rng = np.random.default_rng([block, n, depth])
+        knots = np.linspace(0.0, 1.0, n + 1)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        if affine:
+            spec = fd.make_affine_spec(knots, rng.uniform(-1.0, 1.0, n + 1), alpha)
+        else:
+            coeffs = rng.uniform(-1.0, 1.0, 4)
+            spec = fd.make_alpha_fractal_spec(knots, alpha, fd.Polynomial(coeffs),
+                                              fd.Polynomial(coeffs + [0.0, 0.4, -0.4, 0.0]))
+        fif = fd.solve_fixed_point(spec, m=m)
+        want, want_res = allocating_refine(spec, m, depth)
+        assert np.array_equal(fif.grid.values, want)
+        assert fif.residual == want_res
+
     @pytest.mark.parametrize(
         "knots, m, refined",
         [
