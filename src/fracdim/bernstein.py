@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import Func, _check_domain, sup_norm_diff
+from .functions import Func, _evaluate_checked, sup_norm_diff
 
 __all__ = [
     "BernsteinPoly",
@@ -149,11 +149,7 @@ def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
 
 
 def bernstein_eval(p: BernsteinPoly, x):
-    arr = np.atleast_1d(_check_domain(x))
-    out = _bezier_value(p.samples, arr)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _evaluate_checked(functools.partial(_bezier_value, p.samples), x)
 
 
 def bernstein_derivative_eval(p: BernsteinPoly, x):
@@ -161,11 +157,7 @@ def bernstein_derivative_eval(p: BernsteinPoly, x):
 
     (B_n f)'(x) = n * sum_k [f((k+1)/n) - f(k/n)] C(n-1,k) x^k (1-x)^(n-1-k).
     """
-    arr = np.atleast_1d(_check_domain(x))
-    out = _bezier_value(p.order * np.diff(p.samples), arr)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _evaluate_checked(functools.partial(_bezier_value, p.order * np.diff(p.samples)), x)
 
 
 class BernsteinFunc(Func):
@@ -221,7 +213,7 @@ class TotikReport:
     ratio: float
 
 
-def totik_error_report(f: Func, n: int, grid: int = DEFAULT_SUP_GRID) -> TotikReport:
+def totik_error_report(f: Func, n: int) -> TotikReport:
     """sup|B_n f - f| on the default grid against the modulus at 1/sqrt(n).
 
     The literature bound has an unspecified constant, so only the ratio is
@@ -230,7 +222,7 @@ def totik_error_report(f: Func, n: int, grid: int = DEFAULT_SUP_GRID) -> TotikRe
     if n < 1:
         raise ValueError("order must be >= 1")
     poly = bernstein_build(f, n)
-    sup_err = sup_norm_diff(f, BernsteinFunc(poly), grid)
+    sup_err = sup_norm_diff(f, BernsteinFunc(poly), DEFAULT_SUP_GRID)
     mod = modulus_smoothness(f, 1.0 / np.sqrt(n))
     if mod > 0:
         ratio = sup_err / mod

@@ -151,15 +151,12 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
         m = APPROXIMATE_RESOLUTION
     if mode == "box":
         result = dim_preserving_sequence(f, beta, n, m=m, tol=tol)
-        alpha = result.alpha
-        err_f_pn = sup_norm_diff(f, result.seed)
-        err_pn_b = sup_norm_diff(result.seed, result.base)
         sup_err = sup_norm_diff(f, result.fif)
-        bound = err_f_pn + alpha / (1.0 - alpha) * err_pn_b
+        bound = result.error_bound(f)
         payload = {
             "mode": "box",
             "n": n,
-            "alpha": alpha,
+            "alpha": result.alpha,
             "predicted": result.report.predicted,
             "sup_err": sup_err,
             "error_bound": bound,
@@ -254,20 +251,10 @@ def cmd_extend(domain_arg, beta, m, jmin, jmax, out_path):
     domain = ExtensionDomain(obj["intervals"], func_from_json(obj["values"]))
     extended = extend_function(domain, beta)
     grid = sample(extended, m)
-    # continuity check: bridge limit vs interval value at each gap endpoint
-    anchor = extended.anchor
-    a_ends = (anchor(0.0), anchor(1.0))
-    max_jump = 0.0
-    for (lo, hi), (_, _, left, right) in zip(domain.gaps, extended._bridges):
-        max_jump = max(
-            max_jump,
-            abs(a_ends[0] + left - domain.values(lo)),
-            abs(a_ends[1] + right - domain.values(hi)),
-        )
     report = estimate_box_dim(grid, jmin, jmax)
     payload = {
         "beta": beta,
-        "max_jump": max_jump,
+        "max_jump": extended.max_jump,
         "estimated": report.estimated,
         "raw_slope": report.raw_slope,
         "r_squared": report.r_squared,

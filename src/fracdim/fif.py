@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .functions import Func, GridFunction, Partition, func_from_json, func_to_json
+from .functions import Func, GridBacked, GridFunction, Partition, func_from_json, func_to_json
 
 __all__ = [
     "AffineBranch",
@@ -171,16 +171,13 @@ def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
 
 
 @dataclass(eq=False)
-class FifFunction(Func):
-    """Converged fixed point of a spec; evaluates by grid interpolation."""
+class FifFunction(GridBacked):
+    """Converged fixed point of a spec: a grid-backed function plus how it was solved."""
 
     spec: FifSpec
     grid: GridFunction
     residual: float
     iterations: int
-
-    def _eval(self, x):
-        return self.grid.interp(x)
 
 
 def _refinement_depth(spec: FifSpec, m: int) -> int | None:
@@ -245,7 +242,8 @@ def _refine(spec: FifSpec, m: int, depth: int):
     else:
         seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
         rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
-        lin = rows - alpha[:, None] * spec.branch.base._eval(np.arange(p + 1, dtype=float) / p)
+        lin = alpha[:, None] * spec.branch.base._eval(np.arange(p + 1, dtype=float) / p)
+        np.subtract(rows, lin, out=lin)
 
         def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
             step = p // pk

@@ -58,6 +58,14 @@ def _check_domain(x):
     return np.clip(arr, 0.0, 1.0)
 
 
+def _evaluate_checked(evaluate, x):
+    """evaluate(points) at x after the domain check; a float for scalar x."""
+    out = evaluate(np.atleast_1d(_check_domain(x)))
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out
+
+
 class Func:
     """Base class for evaluable real functions on [0, 1]."""
 
@@ -65,11 +73,7 @@ class Func:
         raise NotImplementedError
 
     def __call__(self, x):
-        arr = _check_domain(x)
-        out = self._eval(np.atleast_1d(arr))
-        if np.ndim(x) == 0:
-            return float(out[0])
-        return out
+        return _evaluate_checked(self._eval, x)
 
 
 class Polynomial(Func):

@@ -42,6 +42,7 @@ from .functions import (
     Sum,
     lipschitz_estimate,
     sample,
+    sup_norm_diff,
 )
 
 __all__ = [
@@ -64,6 +65,8 @@ DEFAULT_ANCHOR_RESOLUTION = 2 ** 16
 PIPELINE_TOL = 1e-10
 ANCHOR_DIM_TOL = 1e-10
 INCREMENT_TOL = 1e-9
+NONNEG_CHECK_RESOLUTION = 2 ** 14
+LIP_GRID = 2 ** 14
 LIP_CAP = 1e3
 
 
@@ -86,7 +89,7 @@ class Anchor(Func):
         self.predicted_dim = float(predicted_dim)
 
     def _eval(self, x):
-        return self.fif.grid.interp(x)
+        return self.fif._eval(x)
 
 
 def make_anchor(
@@ -116,6 +119,12 @@ class BoxApproximant:
     def __call__(self, x):
         return self.fif(x)
 
+    def error_bound(self, f: Func) -> float:
+        """Bound on sup|f - fif|: sup|f - p_n| + alpha / (1 - alpha) sup|p_n - B_n p_n|."""
+        err_f_pn = sup_norm_diff(f, self.seed)
+        err_pn_b = sup_norm_diff(self.seed, self.base)
+        return err_f_pn + self.alpha / (1.0 - self.alpha) * err_pn_b
+
 
 def dim_preserving_sequence(
     f: Func,
@@ -124,7 +133,6 @@ def dim_preserving_sequence(
     partition=None,
     m: int = 2 ** 16,
     tol: float = PIPELINE_TOL,
-    collinear_tol: float = COLLINEAR_TOL,
 ) -> BoxApproximant:
     """n-th term of a uniformly convergent sequence with box dimension beta.
 
@@ -147,7 +155,7 @@ def dim_preserving_sequence(
     p_n = BernsteinFunc(bernstein_build(f, n))
     b_n = BernsteinFunc(bernstein_build(p_n, n))
     data = DataSet(part.knots, p_n._eval(part.knots))
-    if collinear(data, collinear_tol):
+    if collinear(data, COLLINEAR_TOL):
         raise CollinearDataError(
             "Bernstein samples at the partition knots are collinear; "
             "choose a different partition (or perturb the data as in the "
@@ -250,7 +258,6 @@ def derivative_dim_approximant(
     n: int,
     nonneg_primitive: bool = False,
     anchor: Func | None = None,
-    check_m: int = 2 ** 14,
 ) -> DerivativeApproximant:
     """Antiderivative of a dense approximant of fprime.
 
@@ -262,19 +269,16 @@ def derivative_dim_approximant(
     _require_beta(beta)
     if anchor is None:
         anchor = make_anchor(beta)
+    check_xs = np.linspace(0.0, 1.0, NONNEG_CHECK_RESOLUTION + 1)
     if nonneg_primitive:
-        low = float(np.min(anchor._eval(np.linspace(0.0, 1.0, check_m + 1))))
+        low = float(np.min(anchor._eval(check_xs)))
         if low < 0.0:
-            shifted = Shifted(-low, anchor)
-            shifted.predicted_dim = getattr(anchor, "predicted_dim", beta)
-            anchor = shifted
+            # the shift drops predicted_dim, so the caller's anchor is checked here
+            _check_anchor(anchor, beta)
+            anchor = Shifted(-low, anchor)
     g_n = dense_approximant(fprime, beta, n, anchor=anchor)
     primitive = AntiDerivative(g_n)
-    min_primitive = None
-    if nonneg_primitive:
-        min_primitive = float(
-            np.min(primitive._eval(np.linspace(0.0, 1.0, check_m + 1)))
-        )
+    min_primitive = float(np.min(primitive._eval(check_xs))) if nonneg_primitive else None
     return DerivativeApproximant(
         primitive=primitive,
         derivative=g_n,
@@ -310,7 +314,10 @@ class ExtensionDomain:
 
 
 class ExtendedFunc(Func):
-    """Equals the given function on X; rough bridges across the gaps."""
+    """Equals the given function on X; rough bridges across the gaps.
+
+    max_jump: largest |bridge end value - f| over the gap endpoints (round-off only).
+    """
 
     def __init__(self, domain: ExtensionDomain, anchor: Func):
         self.domain = domain
@@ -318,12 +325,15 @@ class ExtendedFunc(Func):
         a0 = anchor(0.0)
         a1 = anchor(1.0)
         self._bridges = []
+        self.max_jump = 0.0
         f = domain.values
         for lo, hi in domain.gaps:
             f_lo, f_hi = f(lo), f(hi)
             # h(u) = A(u) + (f_lo - A(0))(1-u) + (f_hi - A(1))u is exact at
             # both gap endpoints regardless of the anchor's endpoint values
-            self._bridges.append((lo, hi, f_lo - a0, f_hi - a1))
+            left, right = f_lo - a0, f_hi - a1
+            self._bridges.append((lo, hi, left, right))
+            self.max_jump = max(self.max_jump, abs(a0 + left - f_lo), abs(a1 + right - f_hi))
 
     def _eval(self, x):
         out = self.domain.values._eval(x)
@@ -367,14 +377,12 @@ def lipschitz_invariance_check(
     lip: Func,
     m: int = 2 ** 20,
     scales=(4, 12),
-    lip_grid: int = 2 ** 14,
-    lip_cap: float = LIP_CAP,
 ) -> InvarianceReport:
     """Box-count-proxy check that adding a Lipschitz map preserves dimension."""
-    slope = lipschitz_estimate(lip, lip_grid)
-    if not np.isfinite(slope) or slope > lip_cap:
+    slope = lipschitz_estimate(lip, LIP_GRID)
+    if not np.isfinite(slope) or slope > LIP_CAP:
         raise HypothesisError(
-            f"second summand has grid Lipschitz estimate {slope:.3g} above the cap {lip_cap:g}"
+            f"second summand has grid Lipschitz estimate {slope:.3g} above the cap {LIP_CAP:g}"
         )
     j_min, j_max = scales
     report_rough = estimate_box_dim(sample(rough, m), j_min, j_max)

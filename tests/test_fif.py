@@ -266,6 +266,12 @@ class TestJson:
             fd.rb_apply(back, g).values, fd.rb_apply(spec, g).values
         )
 
+    def test_solved_fif_roundtrips_as_grid(self, tent_half_spec):
+        fif = fd.solve_fixed_point(tent_half_spec, m=2 ** 10)
+        obj = json.loads(json.dumps(fd.func_to_json(fif)))
+        assert obj["kind"] == "grid"
+        assert np.array_equal(fd.func_from_json(obj).grid.values, fif.grid.values)
+
 
 def iterate_rb_apply(spec, m, tol):
     """Public-operator iteration from the broken line until steps fall below tol."""

@@ -50,6 +50,14 @@ class TestBoxSequence:
         )
         assert sup_err <= bound + 1e-9
 
+    def test_error_bound_matches_formula(self):
+        f = fd.Polynomial([0, 0, 1])
+        res = fd.dim_preserving_sequence(f, 1.5, 4)
+        bound = fd.sup_norm_diff(f, res.seed) + res.alpha / (1 - res.alpha) * fd.sup_norm_diff(
+            res.seed, res.base
+        )
+        assert res.error_bound(f) == bound
+
     def test_interpolates_seed_at_knots(self):
         res = fd.dim_preserving_sequence(fd.Polynomial([0, 0, 1]), 1.5, 4)
         for x in (0.0, 0.5, 1.0):
@@ -175,6 +183,22 @@ class TestDerivative:
         assert not res.nonneg_checked
         assert res.min_primitive is None
 
+    def test_nonneg_shift_keeps_anchor_dimension_check(self):
+        # an inverted tent anchor dips below zero, so nonneg_primitive shifts it
+        a = 2.0 ** (1.5 - 2.0)
+        spec = fd.make_affine_spec([0.0, 0.5, 1.0], [0.0, -1.0, 0.0], [a, a])
+        fif = fd.solve_fixed_point(spec, m=2 ** 12)
+        with pytest.raises(HypothesisError, match="does not match beta"):
+            fd.derivative_dim_approximant(
+                fd.Polynomial([1.0]), 1.5, 3, nonneg_primitive=True, anchor=fd.Anchor(fif, 1.4)
+            )
+        res = fd.derivative_dim_approximant(
+            fd.Polynomial([1.0]), 1.5, 3, nonneg_primitive=True, anchor=fd.Anchor(fif, 1.5)
+        )
+        assert res.nonneg_checked
+        assert res.min_primitive is not None
+        assert res.min_primitive >= -1e-9
+
 
 class TestExtend:
     def test_agrees_on_intervals(self):
@@ -203,6 +227,13 @@ class TestExtend:
         for a, b in domain.intervals:
             assert ext(a) == f(a)
             assert ext(b) == f(b)
+
+    def test_three_gap_max_jump(self):
+        domain = fd.ExtensionDomain(
+            [(0.0, 0.1), (0.2, 0.4), (0.5, 0.7), (0.9, 1.0)], fd.Polynomial([1, -1])
+        )
+        ext = fd.extend_function(domain, 1.5, anchor=fd.make_anchor(1.5, m=2 ** 12))
+        assert 0.0 <= ext.max_jump <= 1e-12
 
     def test_domain_validation(self):
         f = fd.Polynomial([0.0])
