@@ -208,6 +208,48 @@ class TestSolve:
         assert exc.value.residual > 1e-12
         assert exc.value.iterations == 3
 
+    def test_convergence_error_counts_fine_sweeps_after_coarse_start(self):
+        # m = 2^12 starts from the uncapped, uncounted solve at m / COARSE = 64
+        spec = fd.make_affine_spec([0, 0.3, 1], [0.0, 1.0, 0.0], [0.95, 0.95])
+        assert 2 ** 12 // fif_module.COARSE >= fif_module.COARSE_MIN
+        with pytest.raises(ConvergenceError) as exc:
+            fd.solve_fixed_point(spec, m=2 ** 12, tol=1e-12, max_iterations=3)
+        assert exc.value.residual > 1e-12
+        assert exc.value.iterations == 3
+
+    @given(
+        n=st.sampled_from([2, 3, 4]),
+        m=st.sampled_from([2 ** 12, 3 * 2 ** 10, 1000]),
+        affine=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_coarse_start_converges_to_iteration_fixed_point(self, n, m, affine, seed):
+        # 1000 is not a multiple of COARSE, so it starts from the broken line
+        rng = np.random.default_rng(seed)
+        knots = np.r_[0.0, np.sort(rng.uniform(0.05, 0.95, n - 1)), 1.0]
+        alpha = rng.uniform(-0.9, 0.9, n)
+        if affine:
+            spec = fd.make_affine_spec(knots, rng.uniform(-1.0, 1.0, n + 1), alpha)
+        else:
+            coeffs = rng.uniform(-1.0, 1.0, 4)
+            bump = rng.uniform(-1.0, 1.0)
+            spec = fd.make_alpha_fractal_spec(knots, alpha, fd.Polynomial(coeffs),
+                                              fd.Polynomial(coeffs + [0.0, bump, -bump, 0.0]))
+        tol = 1e-10
+        fif = fd.solve_fixed_point(spec, m=m, tol=tol)
+        assert fif.residual <= tol
+        s = spec.contraction_factor
+        assert np.max(np.abs(iterate_rb_apply(spec, m, 1e-14) - fif.grid.values)) <= 2 * tol / (1 - s)
+
+    def test_coarse_start_sweep_count(self):
+        # a box-pipeline solve as the benchmark runs it; from the broken line
+        # it takes 62-64 sweeps, from the coarse start about 41
+        f = fd.WeierstrassSeries(0.49, 3.0, 3)
+        res = fd.dim_preserving_sequence(f, 1.5, 32, partition=[0.0, 0.38, 1.0], m=2 ** 16, tol=1e-10)
+        assert res.fif.residual <= 1e-10
+        assert res.fif.iterations <= 46
+
 
 class TestResidual:
     def test_converged_residual_below_tol(self, tent_half_spec):
@@ -225,7 +267,38 @@ class TestResidual:
         assert fd.self_ref_residual(tent_half_spec, g) == pytest.approx(1.0)
 
 
+def chaos_loop_oracle(spec, n_points, seed):
+    """chaos_game's former loop over numpy scalars, kept to pin its output."""
+    rng = np.random.default_rng(seed)
+    n = spec.partition.n_intervals
+    idx = rng.integers(0, n, size=n_points + fif_module.CHAOS_BURN_IN)
+    slopes, offsets = fd.affine_map_params(spec.partition)
+    c, d, al = spec.branch.c, spec.branch.d, spec.alpha
+    x = float(spec.partition.knots[0])
+    y = float(spec.ys[0])
+    pts = np.empty((n_points, 2))
+    for t, i in enumerate(idx):
+        x, y = slopes[i] * x + offsets[i], c[i] * x + d[i] + al[i] * y
+        if t >= fif_module.CHAOS_BURN_IN:
+            pts[t - fif_module.CHAOS_BURN_IN] = (x, y)
+    return pts
+
+
 class TestChaosGame:
+    @pytest.mark.parametrize("knots, ys, alpha, n_points, seed", [
+        ([0, 0.5, 1], [0.0, 1.0, 0.0], [0.0, 0.0], 2000, 5),
+        ([0, 0.5, 1], [0.0, 1.0, 0.0], [0.5, 0.5], 500, 123),
+        ([0, 0.5, 1], [0.0, 1.0, 0.0], [0.5, 0.5], 10 ** 4, 42),
+        ([0, 0.5, 1], [0.0, 1.0, 0.0], [0.5, 0.5], 2000, 7),
+        ([0, 0.3, 0.7, 1], [0.0, 1.0, -1.0, 0.5], [0.8, -0.6, 0.7], 20000, 0),
+        ([0, 0.1, 0.37, 0.8, 1], [0.2, -1.0, 0.7, 0.1, -0.3], [0.9, -0.7, 0.5, -0.95], 1, 9),
+    ])
+    def test_equals_numpy_scalar_loop(self, knots, ys, alpha, n_points, seed):
+        spec = fd.make_affine_spec(knots, ys, alpha)
+        pts = fd.chaos_game(spec, n_points, seed=seed)
+        assert pts.shape == (n_points, 2)
+        assert np.array_equal(pts, chaos_loop_oracle(spec, n_points, seed))
+
     def test_zero_alpha_points_on_tent(self):
         spec = fd.make_affine_spec([0, 0.5, 1], [0.0, 1.0, 0.0], [0.0, 0.0])
         pts = fd.chaos_game(spec, 2000, seed=5)
