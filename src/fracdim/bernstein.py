@@ -28,7 +28,6 @@ __all__ = [
     "TotikReport",
 ]
 
-DEFAULT_SUP_GRID = 4096  # panels; 4097 nodes resolves extrema up to n ~ 2000
 DEFAULT_MODULUS_GRID_T = 64
 DEFAULT_MODULUS_GRID_X = 4096
 _BLOCK = 32  # coefficients between renormalisations of the accumulator
@@ -222,7 +221,7 @@ def totik_error_report(f: Func, n: int) -> TotikReport:
     if n < 1:
         raise ValueError("order must be >= 1")
     poly = bernstein_build(f, n)
-    sup_err = sup_norm_diff(f, BernsteinFunc(poly), DEFAULT_SUP_GRID)
+    sup_err = sup_norm_diff(f, BernsteinFunc(poly))
     mod = modulus_smoothness(f, 1.0 / np.sqrt(n))
     if mod > 0:
         ratio = sup_err / mod

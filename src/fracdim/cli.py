@@ -17,7 +17,7 @@ from . import __version__
 from .bernstein import modulus_smoothness
 from .dimension import DataSet, estimate_box_dim, predict_box_dim, predict_hausdorff_dim
 from .errors import ConvergenceError, HypothesisError
-from .fif import chaos_game, solve_fixed_point, spec_from_json
+from .fif import DEFAULT_RESOLUTION, DEFAULT_TOL, chaos_game, solve_fixed_point, spec_from_json
 from .functions import (
     GridFunction,
     WeierstrassSeries,
@@ -34,9 +34,6 @@ from .pipeline import (
     extend_function,
     hausdorff_preserving_sequence,
 )
-
-APPROXIMATE_RESOLUTION = 2 ** 16
-
 
 def _echo_json(payload: dict) -> None:
     click.echo(json.dumps(payload, indent=2))
@@ -137,10 +134,10 @@ def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
     "m",
     type=int,
     default=None,
-    help="solve/sample resolution [default: 65536; hausdorff mode: the largest power of n "
-    "up to 65536, so the solve refines exactly]",
+    help=f"solve/sample resolution [default: {DEFAULT_RESOLUTION}; hausdorff mode: the largest "
+    f"power of n up to {DEFAULT_RESOLUTION}, so the solve refines exactly]",
 )
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--nonneg", is_flag=True, help="derivative mode: request a nonnegative primitive")
 @click.option("--out", "out_path", default=None, help="write approximant samples CSV here")
 @handle_errors
@@ -148,7 +145,7 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
     """Dimension-preserving approximant construction."""
     f = _load_func(func_arg)
     if m is None and mode != "hausdorff":
-        m = APPROXIMATE_RESOLUTION
+        m = DEFAULT_RESOLUTION
     if mode == "box":
         result = dim_preserving_sequence(f, beta, n, m=m, tol=tol)
         sup_err = sup_norm_diff(f, result.fif)
@@ -171,7 +168,7 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
         result = hausdorff_preserving_sequence(f, beta, n)
         if m is None:
             m = n
-            while m * n <= APPROXIMATE_RESOLUTION:
+            while m * n <= DEFAULT_RESOLUTION:
                 m *= n
         fif = solve_fixed_point(result.spec, m=m, tol=tol)
         payload = {
@@ -215,9 +212,9 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
 @click.option("--b", type=float, default=3.0, show_default=True)
 @click.option("--k", "k_max", type=int, default=None, help="weierstrass truncation")
 @click.option("--spec", "spec_arg", default=None, help="FifSpec JSON or path (fif/chaos)")
-@click.option("--m", "m", type=int, default=2 ** 16, show_default=True)
+@click.option("--m", "m", type=int, default=DEFAULT_RESOLUTION, show_default=True)
 @click.option("--n-points", type=int, default=10 ** 5, show_default=True)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
+@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--out", "out_path", required=True)
 @handle_errors

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .functions import Func, GridBacked, GridFunction, Partition, func_from_json, func_to_json
+from .functions import Func, GridBacked, GridFunction, Partition, _grid_cell, func_from_json, func_to_json
 
 __all__ = [
     "AffineBranch",
@@ -101,15 +101,19 @@ class FifSpec:
             raise ValueError("scale factors and ordinates must be finite")
         if np.any(np.abs(self.alpha) >= 1.0):
             raise ValueError("scale factors must satisfy |alpha_i| < 1")
+        # the bounds grow with the ordinates, as the rounding of the
+        # coefficients and of the branch functions does
+        scale = max(1.0, float(np.max(np.abs(self.ys))))
         if isinstance(self.branch, AffineBranch):
             c, d = self.branch.c, self.branch.d
-            if np.max(np.abs(d + self.alpha * self.ys[0] - self.ys[:-1])) > 1e-12:
+            if np.max(np.abs(d + self.alpha * self.ys[0] - self.ys[:-1])) > 1e-12 * scale:
                 raise ValueError("branch maps violate the left interpolation condition")
-            if np.max(np.abs(c + d + self.alpha * self.ys[-1] - self.ys[1:])) > 1e-12:
+            if np.max(np.abs(c + d + self.alpha * self.ys[-1] - self.ys[1:])) > 1e-12 * scale:
                 raise ValueError("branch maps violate the right interpolation condition")
         elif isinstance(self.branch, AlphaFractalBranch):
             seed, base = self.branch.seed, self.branch.base
-            if abs(base(0.0) - seed(0.0)) > 1e-9 or abs(base(1.0) - seed(1.0)) > 1e-9:
+            tol = 1e-9 * scale
+            if abs(base(0.0) - seed(0.0)) > tol or abs(base(1.0) - seed(1.0)) > tol:
                 raise ValueError("base must match the seed at both endpoints")
         else:
             raise ValueError("branch must be AffineBranch or AlphaFractalBranch")
@@ -169,10 +173,8 @@ class _Sweep:
 
     def __init__(self, u: np.ndarray, al: np.ndarray, lin: np.ndarray):
         m = u.size - 1
-        pos = u * m
-        self.i0 = np.minimum(pos.astype(np.int64), m - 1)
+        self.i0, self.frac = _grid_cell(u * m, m)
         self.i1 = self.i0 + 1
-        self.frac = pos - self.i0
         self.w0 = 1.0 - self.frac
         self.al, self.lin = al, lin
         self.tmp = np.empty(m + 1)
@@ -196,14 +198,12 @@ class _Sweep:
 
 def rb_apply(spec: FifSpec, g: GridFunction) -> GridFunction:
     """One application of the branch-map operator to grid samples."""
-    _, u, al, lin = _make_applier(spec, g.m)
-    return GridFunction(g.m, _Sweep(u, al, lin)(g.values, np.empty(g.m + 1)))
+    return GridFunction(g.m, _Sweep(*_make_applier(spec, g.m)[1:])(g.values, np.empty(g.m + 1)))
 
 
 def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
     """Sup over the grid of |g - T g|."""
-    out = rb_apply(spec, g)
-    return float(np.max(np.abs(g.values - out.values)))
+    return _Sweep(*_make_applier(spec, g.m)[1:]).step(g.values, np.empty(g.m + 1))
 
 
 @dataclass(eq=False)

@@ -148,6 +148,12 @@ class Partition:
         return np.diff(self.knots)
 
 
+def _grid_cell(pos: np.ndarray, m: int):
+    """Left node i0 and weight frac of the right node for positions pos in [0, m]."""
+    i0 = np.minimum(pos.astype(np.int64), m - 1)
+    return i0, pos - i0
+
+
 @dataclass(eq=False)
 class GridFunction:
     """Uniform samples: values[j] = f(j/m) for j = 0..m."""
@@ -176,9 +182,7 @@ class GridFunction:
 
     def interp(self, x):
         """Piecewise-linear interpolation between grid nodes."""
-        pos = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * self.m
-        i0 = np.minimum(pos.astype(np.int64), self.m - 1)
-        frac = pos - i0
+        i0, frac = _grid_cell(np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * self.m, self.m)
         return self.values[i0] * (1.0 - frac) + self.values[i0 + 1] * frac
 
     def to_csv(self, path) -> None:
@@ -248,12 +252,12 @@ class Shifted(Func):
         return self.inner._eval(x) + self.offset
 
 
-class AntiDerivative(Func):
+class AntiDerivative(GridBacked):
     """Cumulative integral from 0, via composite trapezoid on a fixed grid.
 
-    The cumulative table is built lazily on first evaluation and values at
-    arbitrary x come from linear interpolation of that table; the O(m^-2)
-    quadrature error is adequate for continuous integrands.
+    The cumulative table on panels + 1 nodes is built on construction, and
+    values between nodes come from linear interpolation of that table; the
+    O(m^-2) quadrature error is adequate for continuous integrands.
     """
 
     def __init__(self, inner: Func, panels: int = DEFAULT_QUADRATURE_PANELS):
@@ -261,21 +265,10 @@ class AntiDerivative(Func):
             raise ValueError("panels must be >= 1")
         self.inner = inner
         self.panels = int(panels)
-        self._nodes = None
-        self._table = None
-
-    def _build(self):
-        xs = np.linspace(0.0, 1.0, self.panels + 1)
-        ys = self.inner._eval(xs)
+        ys = sample(inner, self.panels).values
         h = 1.0 / self.panels
         cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (ys[1:] + ys[:-1]))))
-        self._nodes = xs
-        self._table = cum
-
-    def _eval(self, x):
-        if self._table is None:
-            self._build()
-        return np.interp(x, self._nodes, self._table)
+        super().__init__(GridFunction(self.panels, cum))
 
 
 def sample(f: Func, m: int) -> GridFunction:
@@ -318,6 +311,8 @@ def func_to_json(f: Func) -> dict:
             "knots": f.partition.knots.tolist(),
             "values": f.values.tolist(),
         }
+    if isinstance(f, AntiDerivative):
+        return {"kind": "antiderivative", "inner": func_to_json(f.inner)}
     if isinstance(f, GridBacked):
         return {"kind": "grid", "values": f.grid.values.tolist()}
     if isinstance(f, Sum):
@@ -326,8 +321,6 @@ def func_to_json(f: Func) -> dict:
         return {"kind": "scaled", "factor": f.factor, "inner": func_to_json(f.inner)}
     if isinstance(f, Shifted):
         return {"kind": "shifted", "offset": f.offset, "inner": func_to_json(f.inner)}
-    if isinstance(f, AntiDerivative):
-        return {"kind": "antiderivative", "inner": func_to_json(f.inner)}
     raise ValueError(f"cannot serialize function of type {type(f).__name__}")
 
 

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import BernsteinFunc, bernstein_build
-from .dimension import (
-    COLLINEAR_TOL,
-    DataSet,
-    DimReport,
-    collinear,
-    dimension_equation_root,
-    estimate_box_dim,
-    hausdorff_condition,
-)
+from .dimension import DataSet, DimReport, estimate_box_dim, predict_box_dim, predict_hausdorff_dim
 from .errors import BetaRangeError, CollinearDataError, ConditionError, HypothesisError
 from .fif import (
+    DEFAULT_RESOLUTION,
+    DEFAULT_TOL,
     FifFunction,
     FifSpec,
     make_affine_spec,
@@ -33,10 +27,10 @@ from .fif import (
     solve_fixed_point,
 )
 from .functions import (
-    Func,
-    Partition,
-    PiecewiseLinear,
     AntiDerivative,
+    Func,
+    GridBacked,
+    Partition,
     Scaled,
     Shifted,
     Sum,
@@ -61,8 +55,6 @@ __all__ = [
     "lipschitz_invariance_check",
 ]
 
-DEFAULT_ANCHOR_RESOLUTION = 2 ** 16
-PIPELINE_TOL = 1e-10
 ANCHOR_DIM_TOL = 1e-10
 INCREMENT_TOL = 1e-9
 NONNEG_CHECK_RESOLUTION = 2 ** 14
@@ -78,24 +70,23 @@ def _require_beta(beta: float) -> None:
         )
 
 
-class Anchor(Func):
+class Anchor(GridBacked):
     """Affine-interpolant fixed point with known predicted box dimension.
 
-    Vanishes at both endpoints so it can be rescaled into gaps.
+    Backed by the fixed point's grid; vanishes at both endpoints so it can
+    be rescaled into gaps.
     """
 
     def __init__(self, fif: FifFunction, predicted_dim: float):
+        super().__init__(fif.grid)
         self.fif = fif
         self.predicted_dim = float(predicted_dim)
-
-    def _eval(self, x):
-        return self.fif._eval(x)
 
 
 def make_anchor(
     beta: float,
-    m: int = DEFAULT_ANCHOR_RESOLUTION,
-    tol: float = PIPELINE_TOL,
+    m: int = DEFAULT_RESOLUTION,
+    tol: float = DEFAULT_TOL,
 ) -> Anchor:
     """Tent-data interpolant on (0, 1/2, 1) with |alpha| = 2^(beta-2)."""
     _require_beta(beta)
@@ -116,9 +107,6 @@ class BoxApproximant:
     seed: Func  # the Bernstein polynomial p_n
     base: Func  # B_n(p_n)
 
-    def __call__(self, x):
-        return self.fif(x)
-
     def error_bound(self, f: Func) -> float:
         """Bound on sup|f - fif|: sup|f - p_n| + alpha / (1 - alpha) sup|p_n - B_n p_n|."""
         err_f_pn = sup_norm_diff(f, self.seed)
@@ -131,8 +119,8 @@ def dim_preserving_sequence(
     beta: float,
     n: int,
     partition=None,
-    m: int = 2 ** 16,
-    tol: float = PIPELINE_TOL,
+    m: int = DEFAULT_RESOLUTION,
+    tol: float = DEFAULT_TOL,
 ) -> BoxApproximant:
     """n-th term of a uniformly convergent sequence with box dimension beta.
 
@@ -148,14 +136,13 @@ def dim_preserving_sequence(
     part = partition if isinstance(partition, Partition) else Partition(
         np.asarray(partition, dtype=float) if partition is not None else np.array([0.0, 0.5, 1.0])
     )
-    lengths = part.lengths
-    alpha_val = 1.0 / float(np.sum(lengths ** (beta - 1.0)))
+    alpha_val = 1.0 / float(np.sum(part.lengths ** (beta - 1.0)))
     alpha = np.full(part.n_intervals, alpha_val)
 
     p_n = BernsteinFunc(bernstein_build(f, n))
     b_n = BernsteinFunc(bernstein_build(p_n, n))
-    data = DataSet(part.knots, p_n._eval(part.knots))
-    if collinear(data, COLLINEAR_TOL):
+    report = predict_box_dim(DataSet(part.knots, p_n._eval(part.knots)), alpha)
+    if report.predicted is None:
         raise CollinearDataError(
             "Bernstein samples at the partition knots are collinear; "
             "choose a different partition (or perturb the data as in the "
@@ -163,9 +150,6 @@ def dim_preserving_sequence(
         )
     spec = make_alpha_fractal_spec(part, alpha, seed=p_n, base=b_n)
     fif = solve_fixed_point(spec, m=m, tol=tol)
-    report = DimReport(
-        predicted=dimension_equation_root(lengths, alpha), predicted_kind="box"
-    )
     return BoxApproximant(
         fif=fif, report=report, order=n, alpha=alpha_val, seed=p_n, base=b_n
     )
@@ -198,17 +182,13 @@ def hausdorff_preserving_sequence(f: Func, beta: float, n: int) -> HausdorffAppr
     if perturbed:
         ys[0] += 1.0 / n
     data = DataSet(xs, ys)
-    if not hausdorff_condition(data, alpha):
+    report = predict_hausdorff_dim(data, alpha)
+    if report.predicted is None:
         raise ConditionError(
             "the quotient condition still fails after the endpoint perturbation"
         )
-    spec = make_affine_spec(xs, ys, alpha)
-    report = DimReport(
-        predicted=dimension_equation_root(np.diff(xs), alpha),
-        predicted_kind="hausdorff",
-    )
     return HausdorffApproximant(
-        spec=spec,
+        spec=make_affine_spec(xs, ys, alpha),
         report=report,
         data=data,
         perturbed=perturbed,
@@ -239,9 +219,7 @@ def dense_approximant(f: Func, beta: float, k: int, anchor: Func | None = None) 
     if anchor is None:
         anchor = make_anchor(beta)
     _check_anchor(anchor, beta)
-    knots = np.linspace(0.0, 1.0, 2 ** k + 1)
-    g_k = PiecewiseLinear(knots, f._eval(knots))
-    return Sum(g_k, Scaled(1.0 / k, anchor))
+    return Sum(GridBacked(sample(f, 2 ** k)), Scaled(1.0 / k, anchor))
 
 
 @dataclass(eq=False)

@@ -190,6 +190,13 @@ class TestApproximate:
                   "--mode", "dense", "--n", "2")
         assert res.exit_code == 2
 
+    def test_hausdorff_mode_accepts_large_ordinates(self):
+        cubic = json.dumps({"kind": "polynomial", "coeffs": [
+            -83021.0455669064, -61294.48370689712, -57226.60186157056, 71728.38643318087]})
+        res = run("approximate", "--func", cubic, "--beta", "1.5",
+                  "--mode", "hausdorff", "--n", "4")
+        assert res.exit_code == 0, res.stderr
+
 
 class TestGenerate:
     def test_weierstrass_row_count(self, tmp_path):
@@ -234,6 +241,17 @@ class TestGenerate:
     def test_fif_requires_spec(self, tmp_path):
         res = run("generate", "fif", "--out", str(tmp_path / "x.csv"))
         assert res.exit_code == 1
+
+    def test_fif_convergence_failure_exits_three(self, tmp_path):
+        # the iteration stalls at round-off, far above tol
+        spec = {"branch": "affine", "knots": [0, 0.3, 1], "ys": [0.1, -0.7, 0.4],
+                "alpha": [0.6, -0.6]}
+        out = tmp_path / "fif.csv"
+        res = run("generate", "fif", "--spec", json.dumps(spec), "--m", "1000",
+                  "--tol", "1e-300", "--out", str(out))
+        assert res.exit_code == 3
+        assert "convergence failure" in res.stderr
+        assert not out.exists()
 
 
 class TestExtend:

@@ -121,6 +121,45 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             fd.make_alpha_fractal_spec([0, 0.5, 1], [0.5, 0.5], seed, bad_base)
 
+    @staticmethod
+    def scaled_specs(exponent, seed):
+        """An affine and an alpha-fractal spec whose ordinates are at most 10^exponent.
+
+        The base differs from the seed by t (x - x^2), which vanishes at both
+        endpoints only up to the rounding of the polynomial at that scale.
+        """
+        scale = 10.0 ** exponent
+        rng = np.random.default_rng(seed)
+        knots = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]))
+        alpha = rng.uniform(-0.95, 0.95, 4)
+        affine = fd.make_affine_spec(knots, scale * rng.uniform(-1.0, 1.0, 5), alpha)
+        coeffs = scale / 4.0 * rng.uniform(-1.0, 1.0, 4)
+        t = scale * rng.uniform(-1.0, 1.0)
+        base = fd.Polynomial(coeffs + np.array([0.0, t, -t, 0.0]))
+        fractal = fd.make_alpha_fractal_spec(knots, alpha, fd.Polynomial(coeffs), base)
+        return scale, affine, fractal
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponent=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_factories_accept_their_own_specs_at_any_scale(self, exponent, seed):
+        # construction raises if either factory's spec fails validation
+        self.scaled_specs(exponent, seed)
+
+    @pytest.mark.parametrize("exponent", range(9))
+    def test_coefficients_off_by_a_relative_margin_still_raise(self, exponent):
+        scale, affine, fractal = self.scaled_specs(exponent, 1234)
+        for bump_c in (True, False):
+            c, d = affine.branch.c.copy(), affine.branch.d.copy()
+            (c if bump_c else d)[2] += 1e-9 * scale
+            with pytest.raises(ValueError, match="interpolation condition"):
+                fd.FifSpec(affine.partition, affine.ys, affine.alpha, fd.AffineBranch(c, d))
+        # the endpoint bound is 1e-9 max(1, max|ys|) and the ordinates are at most scale
+        coeffs = fractal.branch.base.coeffs.copy()
+        coeffs[0] += 2e-9 * scale
+        with pytest.raises(ValueError, match="endpoints"):
+            fd.FifSpec(fractal.partition, fractal.ys, fractal.alpha,
+                       fd.AlphaFractalBranch(fractal.branch.seed, fd.Polynomial(coeffs)))
+
 
 def tent_oracle(x, alpha, depth=20):
     """Manual expansion of the self-referential equation at dyadic points."""

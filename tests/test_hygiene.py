@@ -37,3 +37,49 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level _names (def, class or assignment) that no module reads.
+
+    A name read only inside its own definition, as by a recursive call,
+    counts as unread.  Dunder names are left out.
+    """
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                own = set()
+            for name in own:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    seen = n.id
+                elif isinstance(n, ast.Attribute):
+                    seen = n.attr
+                else:
+                    continue
+                if seen not in own:
+                    read.add(seen)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_scan_finds_an_unread_private_name():
+    sources = {
+        "a.py": "def _f(): pass\ndef _g(n): return _g(n - 1)\n_h = 1\nclass _K: pass\n__all__ = []\n",
+        "b.py": "from a import _h\nx = _h\n",
+    }
+    assert unread_private_names(sources) == ["_K (a.py:4)", "_f (a.py:1)", "_g (a.py:2)"]
+    assert unread_private_names({"c.py": "_x = 1\ndef f(): return m._x\n"}) == []
+
+
+def test_no_unread_private_helpers():
+    package = Path(fracdim.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,20 @@ class TestDerivative:
         assert res.nonneg_checked
         assert res.min_primitive is not None
         assert res.min_primitive >= -1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda anchor: anchor,
+    lambda anchor: fd.dense_approximant(fd.WeierstrassSeries(0.5, 3, 8), 1.5, 3, anchor=anchor),
+    lambda anchor: fd.derivative_dim_approximant(
+        fd.Polynomial([0.3, -1.0]), 1.5, 3, nonneg_primitive=True, anchor=anchor
+    ).primitive,
+], ids=["anchor", "dense", "primitive"])
+def test_grid_backed_json_roundtrip_is_exact(build):
+    f = build(fd.make_anchor(1.5, m=2 ** 10))
+    back = fd.func_from_json(json.loads(json.dumps(fd.func_to_json(f))))
+    xs = np.linspace(0.0, 1.0, 4097)
+    assert np.array_equal(back(xs), f(xs))
 
 
 class TestExtend:
