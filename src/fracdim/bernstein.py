@@ -5,7 +5,11 @@ Volk 1986), O(n) per point.  Binomial coefficients are exact integers kept
 as mantissa/exponent pairs, and the accumulator is renormalised every 32
 coefficients, so orders in the thousands neither overflow nor underflow.
 The chord through the end coefficients is taken out first and added back
-exactly, which keeps affine data exact.
+exactly, which keeps affine data exact.  Exponents passed to np.ldexp are
+C ints (np.intc): the result is the same, and numpy's ldexp loop for int64
+exponents is about ten times slower.  `_restrict` re-expresses a
+polynomial on a subinterval by de Casteljau subdivision, so p(a + (b - a) u)
+is again one set of Bernstein coefficients in u.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     mantissa/exponent pairs never do.
     """
     mant = np.empty(n + 1)
-    expo = np.empty(n + 1, dtype=np.int64)
+    expo = np.empty(n + 1, dtype=np.intc)
     c = 1
     for k in range(n + 1):
         e = c.bit_length()
@@ -98,10 +102,11 @@ def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     for start in range(0, y.size, _CHUNK):
         ys = y[start : start + _CHUNK]
         t = ys / (1.0 - ys)
-        t_mant, t_exp = np.frexp(t)
-        # t^_BLOCK as a mantissa >= 2^-_BLOCK and an exponent: no underflow
-        carry_mant = t_mant ** _BLOCK
-        carry_exp = _BLOCK * t_exp.astype(np.int64)
+        if len(blocks) > 1:
+            t_mant, t_exp = np.frexp(t)
+            # t^_BLOCK as a mantissa >= 2^-_BLOCK and an exponent: no underflow
+            carry_mant = t_mant ** _BLOCK
+            carry_exp = _BLOCK * t_exp
         acc = exp = None
         for e, coeffs in blocks:
             p = np.full_like(ys, coeffs[0])
@@ -118,7 +123,7 @@ def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         log2_scale = exp + n * np.log2(1.0 - ys)
         whole = np.floor(log2_scale)
         out[start : start + _CHUNK] = np.ldexp(
-            acc * np.exp2(log2_scale - whole), whole.astype(np.int64)
+            acc * np.exp2(log2_scale - whole), whole.astype(np.intc)
         )
     return out
 
@@ -145,6 +150,37 @@ def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
     high = ~low
     out[high] += scale * _lower_half(rest[::-1], 1.0 - x[high])
     return out
+
+
+def _subdivide(c: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the same polynomial on [0, t] and on [t, 1], each rescaled to [0, 1].
+
+    De Casteljau's scheme in place: after level j, w[0] is the left part's
+    coefficient j and w[n - j] is final as the right part's coefficient
+    n - j, so w ends up holding the right part.
+    """
+    n = c.size - 1
+    s = 1.0 - t
+    w = np.array(c, dtype=float)
+    left = np.empty(n + 1)
+    left[0] = w[0]
+    for j in range(1, n + 1):
+        w[:n + 1 - j] = s * w[:n + 1 - j] + t * w[1:n + 2 - j]
+        left[j] = w[0]
+    return left, w
+
+
+def _restrict(c: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Bernstein coefficients in u of p(a + (b - a) u), where p has coefficients c and 0 <= a < b <= 1.
+
+    Split at b and keep [0, b], then split that at a / b and keep the right
+    part.  A split whose end is 0 or 1 is skipped, so (c, 0, 1) gives c back.
+    """
+    if b < 1.0:
+        c = _subdivide(c, b)[0]
+    if a > 0.0:
+        c = _subdivide(c, a / b)[1]
+    return c
 
 
 def bernstein_eval(p: BernsteinPoly, x):
@@ -190,18 +226,19 @@ def modulus_smoothness(
         return 0.0
     xs = np.linspace(0.0, 1.0, grid_x + 1)
     phi = np.sqrt(xs * (1.0 - xs))
-    fx = f._eval(xs)
+    two_fx = 2.0 * f._eval(xs)
     best = 0.0
-    for t in np.linspace(0.0, delta, grid_t + 1):
+    # t = 0 gives f(x) - 2 f(x) + f(x) = 0 exactly
+    for t in np.linspace(0.0, delta, grid_t + 1)[1:]:
         lo = xs - t * phi
         hi = xs + t * phi
         ok = (lo >= -1e-12) & (hi <= 1.0 + 1e-12)
-        if not ok.any():
-            continue
-        f_lo = f._eval(np.clip(lo[ok], 0.0, 1.0))
-        f_hi = f._eval(np.clip(hi[ok], 0.0, 1.0))
-        second = np.abs(f_lo - 2.0 * fx[ok] + f_hi)
-        best = max(best, float(second.max()))
+        # every point is evaluated and the sup is taken over the admissible
+        # ones, which gives the same maximum as gathering them first
+        f_lo = f._eval(np.clip(lo, 0.0, 1.0, out=lo))
+        f_hi = f._eval(np.clip(hi, 0.0, 1.0, out=hi))
+        second = np.abs(f_lo - two_fx + f_hi)
+        best = max(best, float(second.max(where=ok, initial=0.0)))
     return best
 
 

@@ -11,6 +11,11 @@ iterated with linear interpolation at branch pre-images, in place in two
 buffers, from the fixed point on a grid 64 times coarser when m allows it
 (from the broken line otherwise); the reported iteration count covers the
 sweeps on the m-interval grid only.
+
+When seed and base are Bernstein polynomials of one order n, the part of
+branch i that does not depend on the iterate, seed(x_{i-1} + a_i u) -
+alpha_i base(u), is itself a Bernstein polynomial of order n in u; both
+solve paths build these N polynomials once and evaluate one per node.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import BernsteinFunc, BernsteinPoly, _restrict
 from .errors import ConvergenceError
 from .functions import Func, GridBacked, GridFunction, Partition, _grid_cell, func_from_json, func_to_json
 
@@ -111,9 +117,9 @@ class FifSpec:
             if np.max(np.abs(c + d + self.alpha * self.ys[-1] - self.ys[1:])) > 1e-12 * scale:
                 raise ValueError("branch maps violate the right interpolation condition")
         elif isinstance(self.branch, AlphaFractalBranch):
-            seed, base = self.branch.seed, self.branch.base
-            tol = 1e-9 * scale
-            if abs(base(0.0) - seed(0.0)) > tol or abs(base(1.0) - seed(1.0)) > tol:
+            ends = np.array([0.0, 1.0])
+            gap = np.abs(self.branch.base._eval(ends) - self.branch.seed._eval(ends))
+            if np.max(gap) > 1e-9 * scale:
                 raise ValueError("base must match the seed at both endpoints")
         else:
             raise ValueError("branch must be AffineBranch or AlphaFractalBranch")
@@ -136,6 +142,23 @@ def make_alpha_fractal_spec(knots, alpha, seed: Func, base: Func, ys=None) -> Fi
     return FifSpec(partition, ys, np.asarray(alpha, dtype=float), AlphaFractalBranch(seed, base))
 
 
+def _branch_polys(spec: FifSpec) -> list[BernsteinFunc] | None:
+    """lin_i(u) = seed(x_{i-1} + a_i u) - alpha_i base(u) as one BernsteinFunc per branch.
+
+    When seed and base are BernsteinFunc of one order n with samples c and
+    d, lin_i has the order-n coefficients _restrict(c, x_{i-1}, x_i) -
+    alpha_i d, so each node costs one evaluation instead of two.  None for
+    every other pair.
+    """
+    seed, base = spec.branch.seed, spec.branch.base
+    if not (isinstance(seed, BernsteinFunc) and isinstance(base, BernsteinFunc)
+            and seed.poly.order == base.poly.order):
+        return None
+    c, d, knots = seed.poly.samples, base.poly.samples, spec.partition.knots
+    return [BernsteinFunc(BernsteinPoly(seed.poly.order, _restrict(c, knots[i], knots[i + 1]) - a * d))
+            for i, a in enumerate(spec.alpha)]
+
+
 def _make_applier(spec: FifSpec, m: int):
     """The iterate-free data of the operator on the grid j/m, j = 0..m.
 
@@ -155,6 +178,12 @@ def _make_applier(spec: FifSpec, m: int):
     al = spec.alpha[i]
     if isinstance(spec.branch, AffineBranch):
         lin = spec.branch.c[i] * u + spec.branch.d[i]
+    elif (polys := _branch_polys(spec)) is not None:
+        # the nodes of each branch are contiguous
+        bounds = np.searchsorted(i, np.arange(len(polys) + 1))
+        lin = np.empty(m + 1)
+        for k, poly in enumerate(polys):
+            lin[bounds[k]:bounds[k + 1]] = poly._eval(u[bounds[k]:bounds[k + 1]])
     else:
         seed_x = spec.branch.seed._eval(xs)
         base_u = spec.branch.base._eval(u)
@@ -165,27 +194,28 @@ def _make_applier(spec: FifSpec, m: int):
 class _Sweep:
     """One application of the operator, g(u) interpolated linearly between nodes.
 
-    The interpolation indices and weights are built once; each call writes
-    lin + alpha_i (g[i0] (1 - frac) + g[i1] frac) into a caller's buffer
-    with the same operations in the same order, so the output is bitwise
-    equal to that expression evaluated with temporaries.
+    The interpolation indices and the weights w0 = alpha_i (1 - frac) and
+    w1 = alpha_i frac are built once; each call writes
+    w0 g[i0] + w1 g[i1] + lin into a caller's buffer with the same
+    operations in the same order, so the output is bitwise equal to that
+    expression evaluated with temporaries.
     """
 
     def __init__(self, u: np.ndarray, al: np.ndarray, lin: np.ndarray):
         m = u.size - 1
-        self.i0, self.frac = _grid_cell(u * m, m)
+        self.i0, frac = _grid_cell(u * m, m)
         self.i1 = self.i0 + 1
-        self.w0 = 1.0 - self.frac
-        self.al, self.lin = al, lin
+        self.w0 = al * (1.0 - frac)
+        self.w1 = al * frac
+        self.lin = lin
         self.tmp = np.empty(m + 1)
 
     def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.take(g, self.i0, out=out, mode="clip")
         out *= self.w0
         tmp = np.take(g, self.i1, out=self.tmp, mode="clip")
-        tmp *= self.frac
+        tmp *= self.w1
         out += tmp
-        out *= self.al
         out += self.lin
         return out
 
@@ -276,10 +306,15 @@ def _refine(spec: FifSpec, m: int, depth: int):
             out += d
             return out
     else:
-        seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
-        rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
-        lin = alpha[:, None] * spec.branch.base._eval(np.arange(p + 1, dtype=float) / p)
-        np.subtract(rows, lin, out=lin)
+        u = np.arange(p + 1, dtype=float) / p
+        polys = _branch_polys(spec)
+        if polys is not None:
+            lin = np.stack([poly._eval(u) for poly in polys])
+        else:
+            seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
+            rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
+            lin = alpha[:, None] * spec.branch.base._eval(u)
+            np.subtract(rows, lin, out=lin)
 
         def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
             step = p // pk

@@ -312,7 +312,7 @@ def func_to_json(f: Func) -> dict:
             "values": f.values.tolist(),
         }
     if isinstance(f, AntiDerivative):
-        return {"kind": "antiderivative", "inner": func_to_json(f.inner)}
+        return {"kind": "antiderivative", "inner": func_to_json(f.inner), "panels": f.panels}
     if isinstance(f, GridBacked):
         return {"kind": "grid", "values": f.grid.values.tolist()}
     if isinstance(f, Sum):
@@ -352,7 +352,7 @@ def func_from_json(obj) -> Func:
     if kind == "shifted":
         return Shifted(obj["offset"], func_from_json(obj["inner"]))
     if kind == "antiderivative":
-        return AntiDerivative(func_from_json(obj["inner"]))
+        return AntiDerivative(func_from_json(obj["inner"]), obj.get("panels", DEFAULT_QUADRATURE_PANELS))
     raise ValueError(f"unknown function kind {kind!r}")
 
 

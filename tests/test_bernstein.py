@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdim as fd
-from fracdim.bernstein import BernsteinFunc
+from fracdim.bernstein import BernsteinFunc, _bezier_value, _restrict
 
 # points where t = x/(1-x), its mirror or the final (1-x)^n scaling are
 # most delicate: subnormal and tiny x, both sides of 1/2, the ends
@@ -130,6 +130,32 @@ class TestEval:
         assert err == pytest.approx(1 / (4 * n), abs=1e-9)
 
 
+class TestRestrict:
+    INTERVALS = [(0.0, 1.0), (0.0, 0.38), (0.38, 1.0), (0.1, 0.7), (0.0, 0.5), (0.5, 1.0),
+                 (0.3, 0.30001), (1e-3, 1.0 - 1e-3)]
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 500, 2000])
+    def test_matches_direct_evaluation(self, n):
+        # measured worst case over 40 draws (6 at n >= 500): 0.97 (n + 1) eps max|c|;
+        # at large n the rounding of a + (b - a) v in the direct evaluation dominates
+        rng = np.random.default_rng(n)
+        c = rng.uniform(-1.0, 1.0, n + 1) * 10.0 ** rng.integers(-3, 4)
+        v = np.linspace(0.0, 1.0, 257)
+        bound = 2 * (n + 1) * np.finfo(float).eps * np.max(np.abs(c))
+        for a, b in self.INTERVALS:
+            r = _restrict(c, a, b)
+            assert r.shape == c.shape
+            assert np.max(np.abs(_bezier_value(r, v) - _bezier_value(c, a + (b - a) * v))) <= bound
+
+    def test_ends_that_need_no_split_are_exact(self):
+        c = np.random.default_rng(3).uniform(-1.0, 1.0, 9)
+        assert np.array_equal(_restrict(c, 0.0, 1.0), c)
+        # the restricted polynomial starts at p(a) and ends at p(b); at a = 0
+        # and b = 1 those are end coefficients of c
+        assert _restrict(c, 0.0, 0.38)[0] == c[0]
+        assert _restrict(c, 0.38, 1.0)[-1] == c[-1]
+
+
 class TestDerivative:
     def test_identity_slope(self):
         p = fd.bernstein_build(fd.Polynomial([0, 1]), 6)
@@ -181,6 +207,44 @@ class TestModulus:
         assert fd.modulus_smoothness(f, delta, 8, 64) == pytest.approx(best, abs=1e-12)
         # finer grids only increase the discretized sup
         assert fd.modulus_smoothness(f, delta) >= best - 1e-12
+
+
+def modulus_gather_oracle(f, delta, grid_t, grid_x):
+    """The modulus as a loop over t that gathers the admissible x before evaluating f."""
+    if delta == 0:
+        return 0.0
+    xs = np.linspace(0.0, 1.0, grid_x + 1)
+    phi = np.sqrt(xs * (1.0 - xs))
+    fx = f._eval(xs)
+    best = 0.0
+    for t in np.linspace(0.0, delta, grid_t + 1):
+        lo = xs - t * phi
+        hi = xs + t * phi
+        ok = (lo >= -1e-12) & (hi <= 1.0 + 1e-12)
+        if not ok.any():
+            continue
+        f_lo = f._eval(np.clip(lo[ok], 0.0, 1.0))
+        f_hi = f._eval(np.clip(hi[ok], 0.0, 1.0))
+        second = np.abs(f_lo - 2.0 * fx[ok] + f_hi)
+        best = max(best, float(second.max()))
+    return best
+
+
+class TestModulusOracle:
+    FUNCS = [
+        fd.Polynomial([0.3, -1.0, 2.0, -1.5]),
+        fd.WeierstrassSeries(0.5, 3, 6),
+        BernsteinFunc(fd.bernstein_build(fd.WeierstrassSeries(0.45, 3, 4), 8)),
+        fd.GridBacked(fd.sample(fd.Polynomial([0.0, 1.0, -4.0, 3.0]), 100)),
+    ]
+
+    @pytest.mark.parametrize("f", FUNCS)
+    @pytest.mark.parametrize("delta", [1e-3, 0.25, 1.0, 40.0])
+    @pytest.mark.parametrize("grid_t, grid_x", [(2, 2), (8, 64), (7, 1000), (64, 4096)])
+    def test_equals_gathering_loop(self, f, delta, grid_t, grid_x):
+        # at delta = 40 most steps admit only x near 0 and 1 (x = 0 and 1
+        # are admissible at every step, with weight 0)
+        assert fd.modulus_smoothness(f, delta, grid_t, grid_x) == modulus_gather_oracle(f, delta, grid_t, grid_x)
 
 
 class TestTotik:

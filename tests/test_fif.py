@@ -571,3 +571,62 @@ class TestNAdicRefinement:
         assert fif.grid.values[0] == pytest.approx(0.0, abs=1e-15)
         assert fif.grid.values[-1] == pytest.approx(1.0, abs=1e-15)
         assert np.max(np.abs(iterate_rb_apply(spec, 2 ** 10, 1e-14) - fif.grid.values)) <= 1e-10
+
+
+def bernstein_pair(n, m_order=None):
+    """p_n = B_n f and B_k p_n (k = n unless given) for a cubic f, as in the box pipeline."""
+    p = fd.BernsteinFunc(fd.bernstein_build(fd.Polynomial([0.1, 2.0, -3.0, 1.0]), n))
+    return p, fd.BernsteinFunc(fd.bernstein_build(p, n if m_order is None else m_order))
+
+
+class TestBranchPolynomials:
+    # (0, .38, 1) iterates; (0, 1/2, 1) at m = 2^12 refines
+    @pytest.mark.parametrize("knots", [[0.0, 0.38, 1.0], [0.0, 0.5, 1.0]])
+    def test_agrees_with_two_evaluations(self, knots):
+        seed, base = bernstein_pair(16)
+        alpha = [0.7, -0.55]
+        spec = fd.make_alpha_fractal_spec(knots, alpha, seed, base)
+        # Scaled(1.0, .) is exact but not a BernsteinFunc, so it takes the
+        # path that evaluates seed and base separately
+        wrapped = fd.make_alpha_fractal_spec(knots, alpha, fd.Scaled(1.0, seed), fd.Scaled(1.0, base))
+        assert fif_module._branch_polys(spec) is not None
+        assert fif_module._branch_polys(wrapped) is None
+        fast = fd.solve_fixed_point(spec, m=2 ** 12)
+        slow = fd.solve_fixed_point(wrapped, m=2 ** 12)
+        assert fast.iterations == slow.iterations
+        assert np.max(np.abs(fast.grid.values - slow.grid.values)) <= 1e-13
+
+    def test_unequal_orders_evaluate_seed_and_base(self):
+        seed, base = bernstein_pair(16, 12)
+        spec = fd.make_alpha_fractal_spec([0.0, 0.38, 1.0], [0.7, -0.55], seed, base)
+        wrapped = fd.make_alpha_fractal_spec([0.0, 0.38, 1.0], [0.7, -0.55],
+                                             fd.Scaled(1.0, seed), fd.Scaled(1.0, base))
+        assert fif_module._branch_polys(spec) is None
+        assert np.array_equal(fd.solve_fixed_point(spec, m=2 ** 12).grid.values,
+                              fd.solve_fixed_point(wrapped, m=2 ** 12).grid.values)
+
+    @pytest.mark.parametrize("knots, points", [([0.0, 0.38, 1.0], 2 ** 12 + 1), ([0.0, 0.5, 1.0], 2 ** 12 + 2)])
+    def test_one_evaluation_per_node(self, monkeypatch, knots, points):
+        # m + 1 nodes when iterating; N (m / N + 1) = m + 2 when refining
+        seed, base = bernstein_pair(16)
+        spec = fd.make_alpha_fractal_spec(knots, [0.7, -0.55], seed, base)
+        evaluated = []
+        real = fd.BernsteinFunc._eval
+
+        def counting(self, x):
+            evaluated.append(np.size(x))
+            return real(self, x)
+
+        monkeypatch.setattr(fd.BernsteinFunc, "_eval", counting)
+        fd.solve_fixed_point(spec, m=2 ** 12)
+        assert sum(evaluated) == points
+
+    def test_branch_without_nodes(self):
+        # at m = 2 no node lies in (0.1, 0.15]
+        seed, base = bernstein_pair(8)
+        spec = fd.make_alpha_fractal_spec([0.0, 0.1, 0.15, 1.0], [0.5, 0.5, 0.5], seed, base)
+        wrapped = fd.make_alpha_fractal_spec([0.0, 0.1, 0.15, 1.0], [0.5, 0.5, 0.5],
+                                             fd.Scaled(1.0, seed), fd.Scaled(1.0, base))
+        fast = fd.solve_fixed_point(spec, m=2)
+        slow = fd.solve_fixed_point(wrapped, m=2)
+        assert np.max(np.abs(fast.grid.values - slow.grid.values)) <= 1e-13

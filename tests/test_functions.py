@@ -208,6 +208,17 @@ class TestJson:
         xs = np.linspace(0, 1, 33)
         assert np.allclose(back._eval(xs), f._eval(xs))
 
+    def test_antiderivative_keeps_its_panels(self):
+        f = fd.AntiDerivative(fd.WeierstrassSeries(0.5, 3, 8), panels=64)
+        back = fd.func_from_json(json.dumps(fd.func_to_json(f)))
+        assert back.panels == 64
+        xs = np.linspace(0.0, 1.0, 4097)
+        assert np.array_equal(back._eval(xs), f._eval(xs))
+
+    def test_antiderivative_without_panels_uses_the_default(self):
+        back = fd.func_from_json({"kind": "antiderivative", "inner": {"kind": "polynomial", "coeffs": [1.0]}})
+        assert back.panels == fd.functions.DEFAULT_QUADRATURE_PANELS
+
     def test_piecewise_linear_json(self):
         f = fd.func_from_json(
             {"kind": "piecewise_linear", "knots": [0, 0.5, 1], "values": [0, 1, 0]}
