@@ -232,7 +232,15 @@ def rb_apply(spec: FifSpec, g: GridFunction) -> GridFunction:
 
 
 def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
-    """Sup over the grid of |g - T g|."""
+    """Sup over the grid of |g - T g|, with g(u) interpolated linearly between nodes.
+
+    Pre-images are located as u * m in floating point.  On a uniform
+    partition with N a power of two they land on grid nodes exactly; for
+    other N they sit about m * eps off a node, so on a refined grid this can
+    report up to about 4 m eps times the grid's scale where the grid has no
+    such error.  FifFunction.residual from N-adic refinement is taken with
+    exact pre-images instead.
+    """
     return _Sweep(*_make_applier(spec, g.m)[1:]).step(g.values, np.empty(g.m + 1))
 
 
@@ -263,7 +271,11 @@ def _settle_end(lin_end: float, a: float, y: float) -> float:
 
     Iterated from the interpolation ordinate y, as grid iteration does, so
     both paths land on the same floating-point value; a start that has not
-    settled after 64 steps is replaced by the closed form.
+    settled after 64 steps is replaced by the closed form.  The closed form
+    need not satisfy the equation bit for bit; where it does not, N-adic
+    refinement recomputes the right end slightly differently on every
+    level, so the grid does not nest across levels and its residual shows
+    that drift instead of 0.0.
     """
     for _ in range(64):
         nxt = lin_end + a * y
@@ -289,6 +301,19 @@ def _refine(spec: FifSpec, m: int, depth: int):
     g[:N p_k + 1] from its prefix g[:p_k + 1], which holds level k - 1,
     in blocks of _REFINE_BLOCK values of r.
     Returns the grid and sup |T g - g| over all m + 1 nodes.
+
+    The last level writes node i*p + r as alpha_i prev[r] + lin(i, r / p),
+    where prev holds level depth - 1, and the residual there is
+    alpha_i g[N r] + lin(i, r / p) - g[i*p + r] with the same lin double.
+    Wherever g[N r] == prev[r] that is exactly zero, so a residual block whose
+    pre-images all equal their copies in prev is skipped; this needs a
+    transient copy of the m / N values of prev (4 MB at m = 2^20, N = 2).
+    When both end values satisfy their equations bit for bit (see
+    _settle_end), every level nests in the next, every block is skipped and
+    the residual is 0.0 exactly.  Otherwise the right end drifts between
+    levels, the residual shows that drift as carried to the nodes that
+    depend on it, and only the blocks holding such nodes are computed (the
+    left end is never recomputed; its own equation error is the first term).
     """
     n = spec.partition.n_intervals
     alpha = spec.alpha
@@ -325,6 +350,8 @@ def _refine(spec: FifSpec, m: int, depth: int):
     g[1] = _settle_end(lin_block(1, 2, 1)[-1, 0], alpha[-1], spec.ys[-1])
     pk = 1
     for _ in range(depth):
+        if pk == p:  # the last level: keep the values its row 0 overwrites
+            prev = g[1:p + 1].copy()
         for lo in range(0, pk, _REFINE_BLOCK):
             hi = min(lo + _REFINE_BLOCK, pk)
             lin_k = lin_block(lo + 1, hi + 1, pk)
@@ -338,10 +365,16 @@ def _refine(spec: FifSpec, m: int, depth: int):
     # max |t| block by block; abs keeps an all-zero block at +0.0
     sups = [abs(lin_block(0, 1, p)[0, 0] + alpha[0] * g[0] - g[0])]
     t = np.empty(min(p, _REFINE_BLOCK))
+    buf = np.empty_like(t)
     for lo in range(0, p, _REFINE_BLOCK):
         hi = min(lo + _REFINE_BLOCK, p)
+        # g[N r], the pre-images of nodes i*p + r, gathered once so that the
+        # comparison and the rows read them contiguously
+        pre = buf[:hi - lo]
+        pre[...] = g[n * (lo + 1):n * hi + 1:n]
+        if np.array_equal(pre, prev[lo:hi]):
+            continue  # the nodes were written from these very values, so t is +0.0
         lin_p = lin_block(lo + 1, hi + 1, p)
-        pre = g[n * (lo + 1):n * hi + 1:n]  # g[N r]: the pre-images of nodes i*p + r
         tb = t[:hi - lo]
         for i in range(n):
             np.multiply(alpha[i], pre, out=tb)
@@ -413,7 +446,10 @@ def solve_fixed_point(
     Every branch pre-image of a grid node is then a grid node, so the fixed
     point is built level by level from the endpoint values in O(m) work with
     no stopping rule; iterations reports k, and the residual is
-    sup|T g - g| over the grid with exact pre-images.  tol and
+    sup|T g - g| over the grid with exact pre-images.  It is 0.0 when both
+    endpoint values satisfy their equations bit for bit (see _settle_end);
+    otherwise it is a few ulps, from the left end's own equation or from
+    the right end's drift between levels.  tol and
     max_iterations do not apply on this path.
 
     Otherwise the operator is iterated.  When COARSE = 64 divides m and

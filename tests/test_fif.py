@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fracdim as fd
@@ -509,10 +509,18 @@ class TestNAdicRefinement:
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7, 64])
     @pytest.mark.parametrize("n, depth", [(2, 9), (3, 6), (4, 5), (5, 3)])
-    @pytest.mark.parametrize("affine", [True, False])
-    def test_blocks_of_any_size_equal_allocating_oracle(self, monkeypatch, block, n, depth, affine):
+    @pytest.mark.parametrize("affine, drift", [(True, False), (False, False), (True, True), (False, True)],
+                             ids=["True", "False", "True-drift", "False-drift"])
+    def test_blocks_of_any_size_equal_allocating_oracle(self, monkeypatch, block, n, depth, affine, drift):
         # blocks that do not divide p_k leave a short last block on every level
         monkeypatch.setattr(fif_module, "_REFINE_BLOCK", block)
+        if drift:
+            # end values one ulp above the closed form need not satisfy their
+            # equations, so the right end can move between levels and the
+            # residual computes the blocks it reaches instead of skipping
+            # them; the oracle looks up the same _settle_end
+            monkeypatch.setattr(fif_module, "_settle_end",
+                                lambda lin, a, y: np.nextafter(lin / (1 - a), np.inf))
         m = n ** depth
         rng = np.random.default_rng([block, n, depth])
         knots = np.linspace(0.0, 1.0, n + 1)
@@ -527,6 +535,41 @@ class TestNAdicRefinement:
         want, want_res = allocating_refine(spec, m, depth)
         assert np.array_equal(fif.grid.values, want)
         assert fif.residual == want_res
+
+    @given(
+        n=st.sampled_from([2, 3, 4, 5]),
+        level=st.integers(2, 12),
+        bernstein=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_settled_levels_nest(self, n, level, bernstein, seed):
+        """The solve on N^(k-1) intervals is every N-th node of the solve on N^k, bit for bit.
+
+        The residual skip relies on this.  It holds when both end values
+        satisfy their equations, so specs with a nonzero residual are left
+        out: there the right end moves between levels.  Affine branches and
+        Bernstein pairs of one order evaluate their linear part at r / p,
+        the same double at every resolution.  Other alpha-fractal pairs are
+        left out: they evaluate the seed on np.linspace(0, 1, m + 1), and
+        for N = 3 and 5 its every N-th value need not equal the coarser
+        linspace.
+        """
+        depth = min(level, int(np.floor(12 * np.log(2) / np.log(n) + 1e-9)))
+        rng = np.random.default_rng(seed)
+        knots = np.linspace(0.0, 1.0, n + 1)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        if bernstein:
+            order = int(rng.integers(2, 17))
+            seed_fn = fd.BernsteinFunc(fd.bernstein_build(fd.Polynomial(rng.uniform(-1.0, 1.0, 4)), order))
+            spec = fd.make_alpha_fractal_spec(knots, alpha, seed_fn,
+                                              fd.BernsteinFunc(fd.bernstein_build(seed_fn, order)))
+        else:
+            spec = fd.make_affine_spec(knots, rng.uniform(-1.0, 1.0, n + 1), alpha)
+        fine = fd.solve_fixed_point(spec, m=n ** depth)
+        assume(fine.residual == 0.0)
+        coarse = fd.solve_fixed_point(spec, m=n ** (depth - 1)).grid.values
+        assert np.array_equal(coarse.view(np.int64), fine.grid.values[::n].view(np.int64))
 
     @pytest.mark.parametrize(
         "knots, m, refined",
