@@ -373,7 +373,7 @@ def _refine(spec: FifSpec, m: int, depth: int):
         pre = buf[:hi - lo]
         pre[...] = g[n * (lo + 1):n * hi + 1:n]
         if np.array_equal(pre, prev[lo:hi]):
-            continue  # the nodes were written from these very values, so t is +0.0
+            continue  # the nodes were written from these very values, so t is zero
         lin_p = lin_block(lo + 1, hi + 1, p)
         tb = t[:hi - lo]
         for i in range(n):
