@@ -272,10 +272,12 @@ def _settle_end(lin_end: float, a: float, y: float) -> float:
     Iterated from the interpolation ordinate y, as grid iteration does, so
     both paths land on the same floating-point value; a start that has not
     settled after 64 steps is replaced by the closed form.  The closed form
-    need not satisfy the equation bit for bit; where it does not, N-adic
-    refinement recomputes the right end slightly differently on every
-    level, so the grid does not nest across levels and its residual shows
-    that drift instead of 0.0.
+    need not satisfy the equation bit for bit.  N-adic refinement tests the
+    right end's value once: if it satisfies its equation, every level nests
+    in the next and the residual blocks are not computed at all.  If it does
+    not, the right end is recomputed slightly differently on every level, so
+    the grid does not nest across levels, the residual copy and blocks run,
+    and the residual shows that drift instead of 0.0.
     """
     for _ in range(64):
         nxt = lin_end + a * y
@@ -305,28 +307,45 @@ def _refine(spec: FifSpec, m: int, depth: int):
     The last level writes node i*p + r as alpha_i prev[r] + lin(i, r / p),
     where prev holds level depth - 1, and the residual there is
     alpha_i g[N r] + lin(i, r / p) - g[i*p + r] with the same lin double.
-    Wherever g[N r] == prev[r] that is exactly zero, so a residual block whose
-    pre-images all equal their copies in prev is skipped; this needs a
-    transient copy of the m / N values of prev (4 MB at m = 2^20, N = 2).
-    When both end values satisfy their equations bit for bit (see
-    _settle_end), every level nests in the next, every block is skipped and
-    the residual is 0.0 exactly.  Otherwise the right end drifts between
-    levels, the residual shows that drift as carried to the nodes that
-    depend on it, and only the blocks holding such nodes are computed (the
-    left end is never recomputed; its own equation error is the first term).
+    Wherever g[N r] == prev[r] that is exactly zero.  The left end is never
+    recomputed; its own equation error is the first term of the residual.
+
+    Settled shortcut: when the right end's value satisfies its equation bit
+    for bit (lin_end + alpha_N g[1] == g[1], multiply then add, as a row is
+    written), that first term is the residual, and no copy or block is
+    computed.  By induction over levels, g_k[N r] == g_{k-1}[r] for every r:
+    level 1 writes node N from node 1 with that very equation; node 0 is
+    never rewritten; and level k writes node N r from pre-image
+    r'' = N r - i p_k, while level k - 1 wrote node r from r'' / N, on the
+    same branch, with the same lin double (affine branches: the same
+    quotient, below; table branches: the same entry) and, by the induction,
+    the same pre-image value.  So at the last level every g[N r] == prev[r].
+
+    Otherwise the m / N values of prev are copied before the last level
+    overwrites them (4 MB at m = 2^20, N = 2), a residual block whose
+    pre-images all equal their copies in prev is skipped, and only the
+    blocks that the right end's drift between levels reaches are computed.
+
+    Affine branches take u = r / p_k per block from a ramp of integers built
+    once: ramp + lo is the exact integer r, and r / p_k and (r p / p_k) / p
+    round the same quotient, so u is the same double on every level.  When
+    p_k is a power of two, 1 / p_k is exact and so is r * (1 / p_k), which
+    is then that quotient; other p_k (N = 3, 5) divide.
     """
     n = spec.partition.n_intervals
     alpha = spec.alpha
     p = m // n
     if isinstance(spec.branch, AffineBranch):
         c, d = spec.branch.c[:, None], spec.branch.d[:, None]
+        ramp = np.arange(min(p, _REFINE_BLOCK) + 1, dtype=float)
 
         def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
             """lin[i, r] for r = lo..hi-1 on p_k intervals per branch, shape (N, hi - lo)."""
-            # r / p_k and (r p / p_k) / p round the same quotient, so u is
-            # the same double on every level
-            u = np.arange(lo, hi, dtype=float)
-            u /= pk
+            u = ramp[:hi - lo] + lo
+            if pk & (pk - 1) == 0:
+                u *= 1.0 / pk
+            else:
+                u /= pk
             out = c * u
             out += d
             return out
@@ -347,10 +366,13 @@ def _refine(spec: FifSpec, m: int, depth: int):
 
     g = np.empty(m + 1)
     g[0] = _settle_end(lin_block(0, 1, 1)[0, 0], alpha[0], spec.ys[0])
-    g[1] = _settle_end(lin_block(1, 2, 1)[-1, 0], alpha[-1], spec.ys[-1])
+    lin_end = lin_block(1, 2, 1)[-1, 0]
+    g[1] = _settle_end(lin_end, alpha[-1], spec.ys[-1])
+    # rounded as a row write rounds: multiply, then add
+    settled = lin_end + alpha[-1] * g[1] == g[1]
     pk = 1
     for _ in range(depth):
-        if pk == p:  # the last level: keep the values its row 0 overwrites
+        if pk == p and not settled:  # the last level: keep the values its row 0 overwrites
             prev = g[1:p + 1].copy()
         for lo in range(0, pk, _REFINE_BLOCK):
             hi = min(lo + _REFINE_BLOCK, pk)
@@ -364,6 +386,8 @@ def _refine(spec: FifSpec, m: int, depth: int):
         pk *= n
     # max |t| block by block; abs keeps an all-zero block at +0.0
     sups = [abs(lin_block(0, 1, p)[0, 0] + alpha[0] * g[0] - g[0])]
+    if settled:  # the levels nest, so every block below would be skipped
+        return g, float(sups[0])
     t = np.empty(min(p, _REFINE_BLOCK))
     buf = np.empty_like(t)
     for lo in range(0, p, _REFINE_BLOCK):
@@ -449,8 +473,10 @@ def solve_fixed_point(
     sup|T g - g| over the grid with exact pre-images.  It is 0.0 when both
     endpoint values satisfy their equations bit for bit (see _settle_end);
     otherwise it is a few ulps, from the left end's own equation or from
-    the right end's drift between levels.  tol and
-    max_iterations do not apply on this path.
+    the right end's drift between levels.  When the right end satisfies its
+    equation the levels nest, and the residual is the left end's term with
+    no pass over the grid; only a drifting right end costs a residual pass
+    (see _refine).  tol and max_iterations do not apply on this path.
 
     Otherwise the operator is iterated.  When COARSE = 64 divides m and
     m / 64 >= 16, the iteration starts from the fixed point on m / 64

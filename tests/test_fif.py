@@ -536,6 +536,57 @@ class TestNAdicRefinement:
         assert np.array_equal(fif.grid.values, want)
         assert fif.residual == want_res
 
+    @pytest.mark.parametrize("n, depth, seed", [(2, 10, 17), (3, 6, 7), (4, 5, 2), (5, 4, 13)])
+    def test_unsettled_right_end_equals_allocating_oracle(self, n, depth, seed):
+        # drawn like the property tests; these seeds give a negative alpha_N
+        # whose right end has no settled double, so the residual blocks run
+        rng = np.random.default_rng(seed)
+        ys = rng.uniform(-1.0, 1.0, n + 1)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        spec = fd.make_affine_spec(np.linspace(0.0, 1.0, n + 1), ys, alpha)
+        lin_end = spec.branch.c[-1] + spec.branch.d[-1]
+        end = fif_module._settle_end(lin_end, alpha[-1], ys[-1])
+        assert alpha[-1] < 0.0 and lin_end + alpha[-1] * end != end
+        fif = fd.solve_fixed_point(spec, m=n ** depth)
+        want, want_res = allocating_refine(spec, n ** depth, depth)
+        assert np.array_equal(fif.grid.values, want)
+        assert fif.residual == want_res
+        assert fif.residual > 0.0
+
+    @given(
+        n=st.sampled_from([2, 3, 4, 5]),
+        level=st.integers(1, 12),
+        order=st.integers(2, 16),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bernstein_pair_residual_is_exact(self, n, level, order, seed):
+        """The residual of a Bernstein pair is sup |T g - g| with one polynomial per branch.
+
+        allocating_refine evaluates seed and base apart, so it does not
+        cover the polynomials of _branch_polys; this checks the returned
+        residual against them, for settled and unsettled right ends alike.
+        """
+        depth = min(level, int(np.floor(12 * np.log(2) / np.log(n) + 1e-9)))
+        m = n ** depth
+        p = m // n
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(-0.95, 0.95, n)
+        seed_fn = fd.BernsteinFunc(fd.bernstein_build(fd.Polynomial(rng.uniform(-1.0, 1.0, 4)), order))
+        spec = fd.make_alpha_fractal_spec(np.linspace(0.0, 1.0, n + 1), alpha, seed_fn,
+                                          fd.BernsteinFunc(fd.bernstein_build(seed_fn, order)))
+        polys = fif_module._branch_polys(spec)
+        assert polys is not None
+        u = np.arange(p + 1) / p
+        lin = np.stack([poly._eval(u) for poly in polys])
+        fif = fd.solve_fixed_point(spec, m=m)
+        g = fif.grid.values
+        al = alpha[:, None]
+        want = max(abs(lin[0, 0] + alpha[0] * g[0] - g[0]),
+                   np.abs(lin[:, 1:] + al * g[n::n] - g[1:].reshape(n, p)).max())
+        assert fif.residual == want
+        assert not np.signbit(fif.residual)
+
     @given(
         n=st.sampled_from([2, 3, 4, 5]),
         level=st.integers(2, 12),
@@ -546,9 +597,11 @@ class TestNAdicRefinement:
     def test_settled_levels_nest(self, n, level, bernstein, seed):
         """The solve on N^(k-1) intervals is every N-th node of the solve on N^k, bit for bit.
 
-        The residual skip relies on this.  It holds when both end values
-        satisfy their equations, so specs with a nonzero residual are left
-        out: there the right end moves between levels.  Affine branches and
+        _refine's settled shortcut, which returns the left-end term as the
+        residual without computing the blocks, relies on this.  It holds
+        when both end values satisfy their equations, so specs with a
+        nonzero residual are left out: there the right end moves between
+        levels.  Affine branches and
         Bernstein pairs of one order evaluate their linear part at r / p,
         the same double at every resolution.  Other alpha-fractal pairs are
         left out: they evaluate the seed on np.linspace(0, 1, m + 1), and
