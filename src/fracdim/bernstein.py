@@ -218,8 +218,8 @@ def modulus_smoothness(
     [0, 1]; a lower bound on the true modulus.  Endpoints x = 0, 1 are
     admissible (the weight vanishes there, contributing 0).
     """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be finite and nonnegative")
     if grid_t < 2 or grid_x < 2:
         raise ValueError("grids must be >= 2")
     if delta == 0:

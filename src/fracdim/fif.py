@@ -12,10 +12,13 @@ buffers, from the fixed point on a grid 64 times coarser when m allows it
 (from the broken line otherwise); the reported iteration count covers the
 sweeps on the m-interval grid only.
 
-When seed and base are Bernstein polynomials of one order n, the part of
-branch i that does not depend on the iterate, seed(x_{i-1} + a_i u) -
-alpha_i base(u), is itself a Bernstein polynomial of order n in u; both
-solve paths build these N polynomials once and evaluate one per node.
+The part of branch i that does not depend on the iterate, lin_i(u) =
+seed(x_{i-1} + a_i u) - alpha_i base(u) (c_i u + d_i for affine branches),
+has one evaluator, _branch_term, which both solve paths call: the iteration
+for one branch's nodes at a time, N-adic refinement for a table of all
+branches.  When seed and base are Bernstein polynomials of one order n,
+lin_i is itself a Bernstein polynomial of order n in u; the evaluator builds
+these N polynomials once and evaluates one per node.
 """
 
 from __future__ import annotations
@@ -159,52 +162,70 @@ def _branch_polys(spec: FifSpec) -> list[BernsteinFunc] | None:
             for i, a in enumerate(spec.alpha)]
 
 
+def _branch_term(spec: FifSpec):
+    """term(rows, u, x): lin_i(u) = seed(x_{i-1} + a_i u) - alpha_i base(u), one row per branch i in the slice rows.
+
+    u holds branch-local points and x the nodes x_{i-1} + a_i u, per row or
+    broadcast to the rows; only a general pair reads x.  Affine branches
+    give c_i u + d_i (multiply, then add), a Bernstein pair one polynomial
+    per branch (_branch_polys), and any other pair seed(x) - alpha_i base(u).
+    """
+    if isinstance(spec.branch, AffineBranch):
+        c, d = spec.branch.c, spec.branch.d
+
+        def term(rows: slice, u: np.ndarray, x) -> np.ndarray:
+            out = c[rows, None] * u
+            out += d[rows, None]
+            return out
+    elif (polys := _branch_polys(spec)) is not None:
+
+        def term(rows: slice, u: np.ndarray, x) -> np.ndarray:
+            return np.stack([poly._eval(u) for poly in polys[rows]])
+    else:
+        seed, base, alpha = spec.branch.seed, spec.branch.base, spec.alpha
+
+        def term(rows: slice, u: np.ndarray, x) -> np.ndarray:
+            return seed._eval(x) - alpha[rows, None] * base._eval(u)
+    return term
+
+
 def _make_applier(spec: FifSpec, m: int):
     """The iterate-free data of the operator on the grid j/m, j = 0..m.
 
     Returns the nodes xs and, per node, its branch-local pre-image u in
     [0, 1], its scale alpha_i, and lin, the part of the branch map that does
-    not depend on the iterate: (T g)(x) = lin(x) + alpha_i g(u).
+    not depend on the iterate: (T g)(x) = lin(x) + alpha_i g(u).  The nodes
+    of a branch are contiguous, so each array is filled one branch at a time.
     """
     xs = np.linspace(0.0, 1.0, m + 1)
-    knots = spec.partition.knots
-    lengths = spec.partition.lengths
-    # interior knots belong to their left branch; searchsorted(side=left)
-    # returns i for x == x_i, and 0 only at x = 0
-    br = np.searchsorted(knots, xs, side="left")
-    br[br == 0] = 1
-    i = br - 1
-    u = np.clip((xs - knots[i]) / lengths[i], 0.0, 1.0)
-    al = spec.alpha[i]
-    if isinstance(spec.branch, AffineBranch):
-        lin = spec.branch.c[i] * u + spec.branch.d[i]
-    elif (polys := _branch_polys(spec)) is not None:
-        # the nodes of each branch are contiguous
-        bounds = np.searchsorted(i, np.arange(len(polys) + 1))
-        lin = np.empty(m + 1)
-        for k, poly in enumerate(polys):
-            lin[bounds[k]:bounds[k + 1]] = poly._eval(u[bounds[k]:bounds[k + 1]])
-    else:
-        seed_x = spec.branch.seed._eval(xs)
-        base_u = spec.branch.base._eval(u)
-        lin = seed_x - al * base_u
+    knots, lengths, alpha = spec.partition.knots, spec.partition.lengths, spec.alpha
+    term = _branch_term(spec)
+    u, al, lin = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    # branch k holds the nodes in (x_k, x_{k+1}]: interior knots belong to
+    # their left branch, and x = 0 belongs to branch 0
+    bounds = np.searchsorted(xs, knots, side="right")
+    bounds[0] = 0
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.clip((xs[lo:hi] - knots[k]) / lengths[k], 0.0, 1.0, out=u[lo:hi])
+        al[lo:hi] = alpha[k]
+        lin[lo:hi] = term(slice(k, k + 1), u[lo:hi], xs[lo:hi])[0]
     return xs, u, al, lin
 
 
 class _Sweep:
     """One application of the operator, g(u) interpolated linearly between nodes.
 
-    The interpolation indices and the weights w0 = alpha_i (1 - frac) and
+    The interpolation indices i0 and the weights w0 = alpha_i (1 - frac) and
     w1 = alpha_i frac are built once; each call writes
-    w0 g[i0] + w1 g[i1] + lin into a caller's buffer with the same
+    w0 g[i0] + w1 g[i0 + 1] + lin into a caller's buffer with the same
     operations in the same order, so the output is bitwise equal to that
-    expression evaluated with temporaries.
+    expression evaluated with temporaries.  g[i0 + 1] is read as g[1:] at
+    i0, which _grid_cell keeps in range by capping i0 at m - 1.
     """
 
     def __init__(self, u: np.ndarray, al: np.ndarray, lin: np.ndarray):
         m = u.size - 1
         self.i0, frac = _grid_cell(u * m, m)
-        self.i1 = self.i0 + 1
         self.w0 = al * (1.0 - frac)
         self.w1 = al * frac
         self.lin = lin
@@ -213,7 +234,7 @@ class _Sweep:
     def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.take(g, self.i0, out=out, mode="clip")
         out *= self.w0
-        tmp = np.take(g, self.i1, out=self.tmp, mode="clip")
+        tmp = np.take(g[1:], self.i0, out=self.tmp, mode="clip")
         tmp *= self.w1
         out += tmp
         out += self.lin
@@ -335,8 +356,8 @@ def _refine(spec: FifSpec, m: int, depth: int):
     n = spec.partition.n_intervals
     alpha = spec.alpha
     p = m // n
+    term = _branch_term(spec)
     if isinstance(spec.branch, AffineBranch):
-        c, d = spec.branch.c[:, None], spec.branch.d[:, None]
         ramp = np.arange(min(p, _REFINE_BLOCK) + 1, dtype=float)
 
         def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
@@ -346,19 +367,11 @@ def _refine(spec: FifSpec, m: int, depth: int):
                 u *= 1.0 / pk
             else:
                 u /= pk
-            out = c * u
-            out += d
-            return out
+            return term(slice(0, n), u, None)
     else:
-        u = np.arange(p + 1, dtype=float) / p
-        polys = _branch_polys(spec)
-        if polys is not None:
-            lin = np.stack([poly._eval(u) for poly in polys])
-        else:
-            seed_x = spec.branch.seed._eval(np.linspace(0.0, 1.0, m + 1))
-            rows = np.lib.stride_tricks.sliding_window_view(seed_x, p + 1)[::p]
-            lin = alpha[:, None] * spec.branch.base._eval(u)
-            np.subtract(rows, lin, out=lin)
+        # row i holds the nodes i*p .. (i + 1)*p of branch i
+        xs = np.lib.stride_tricks.sliding_window_view(np.linspace(0.0, 1.0, m + 1), p + 1)[::p]
+        lin = term(slice(0, n), np.arange(p + 1, dtype=float) / p, xs)
 
         def lin_block(lo: int, hi: int, pk: int) -> np.ndarray:
             step = p // pk
@@ -489,18 +502,20 @@ def solve_fixed_point(
     max_iterations caps the iteration budget below the contraction-rate
     estimate.  iterations counts the sweeps on the m-interval grid only;
     the coarse solves are not counted, and max_iterations does not cap them.
+    A tol that is not positive and finite raises ValueError on both paths.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     depth = _refinement_depth(spec, m) if spec.contraction_factor > 0.0 else None
     if depth is not None:
         g, residual = _refine(spec, m, depth)
         return FifFunction(spec=spec, grid=GridFunction(m, g), residual=residual, iterations=depth)
     xs, u, al, lin = _make_applier(spec, m)
     s = spec.contraction_factor
+    g = _start(spec, xs, u, al, lin, s, tol)
     sweep = _Sweep(u, al, lin)
-    g, spare, iterations, converged = _iterate(sweep, _start(spec, xs, u, al, lin, s, tol),
-                                               s, tol, max_iterations)
+    del xs, u, al  # the sweep holds what the fine sweeps read
+    g, spare, iterations, converged = _iterate(sweep, g, s, tol, max_iterations)
     residual = sweep.step(g, spare)
     if not converged:
         raise ConvergenceError(

@@ -109,8 +109,8 @@ class WeierstrassSeries(Func):
     def __init__(self, a, b, k_max=None):
         if not 0.0 < a < 1.0:
             raise ValueError("amplitude base a must lie in (0, 1)")
-        if b <= 1.0:
-            raise ValueError("frequency base b must exceed 1")
+        if not 1.0 < b < math.inf:
+            raise ValueError("frequency base b must be finite and exceed 1")
         self.a = float(a)
         self.b = float(b)
         self.k_max = _weierstrass_terms(self.a) if k_max is None else int(k_max)
@@ -235,6 +235,8 @@ class Sum(Func):
 class Scaled(Func):
     def __init__(self, factor: float, inner: Func):
         self.factor = float(factor)
+        if not math.isfinite(self.factor):
+            raise ValueError("factor must be finite")
         self.inner = inner
 
     def _eval(self, x):
@@ -246,6 +248,8 @@ class Shifted(Func):
 
     def __init__(self, offset: float, inner: Func):
         self.offset = float(offset)
+        if not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         self.inner = inner
 
     def _eval(self, x):

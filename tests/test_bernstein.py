@@ -185,6 +185,11 @@ class TestModulus:
     def test_zero_delta(self):
         assert fd.modulus_smoothness(fd.Polynomial([0, 0, 1]), 0.0) == 0.0
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_delta_outside_nonnegative_finite(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            fd.modulus_smoothness(fd.Polynomial([0, 0, 1]), delta)
+
     def test_quadratic_closed_form(self):
         # second difference of x^2 with step t*phi(x) is 2 t^2 x(1-x),
         # maximized at x = 1/2, t = delta: value delta^2 / 2

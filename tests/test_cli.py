@@ -254,6 +254,14 @@ class TestGenerate:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_fif_non_finite_tol_exits_one(self, tmp_path, tol):
+        out = tmp_path / "fif.csv"
+        res = run("generate", "fif", "--spec", json.dumps(TENT_SPEC), "--m", "4096",
+                  "--tol", tol, "--out", str(out))
+        assert res.exit_code == 1
+        assert not out.exists()
+
 class TestExtend:
     DOMAIN = {
         "intervals": [[0.0, 0.4], [0.6, 1.0]],

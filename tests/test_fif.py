@@ -238,6 +238,14 @@ class TestSolve:
             rhs = al * (fif.grid.interp(u) - base._eval(u))
             assert np.max(np.abs(left[mask] - rhs)) <= 1e-9
 
+    # (0, .3, 1) iterates; (0, .5, 1) at m = 4096 refines
+    @pytest.mark.parametrize("knots", [[0.0, 0.3, 1.0], [0.0, 0.5, 1.0]])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0])
+    def test_rejects_tol_outside_positive_finite(self, knots, tol):
+        spec = fd.make_affine_spec(knots, [0.1, -0.7, 0.4], [0.6, -0.6])
+        with pytest.raises(ValueError, match="tol"):
+            fd.solve_fixed_point(spec, m=4096, tol=tol)
+
     def test_convergence_error_carries_residual(self):
         spec = fd.make_affine_spec([0, 0.3, 1], [0.0, 1.0, 0.0], [0.95, 0.95])
         with pytest.raises(ConvergenceError) as exc:
@@ -673,6 +681,70 @@ def bernstein_pair(n, m_order=None):
     """p_n = B_n f and B_k p_n (k = n unless given) for a cubic f, as in the box pipeline."""
     p = fd.BernsteinFunc(fd.bernstein_build(fd.Polynomial([0.1, 2.0, -3.0, 1.0]), n))
     return p, fd.BernsteinFunc(fd.bernstein_build(p, n if m_order is None else m_order))
+
+
+def per_node_applier(spec, m):
+    """The iterate-free operator data by one branch-index gather per node, as a bit-exact oracle."""
+    xs = np.linspace(0.0, 1.0, m + 1)
+    knots = spec.partition.knots
+    lengths = spec.partition.lengths
+    # interior knots belong to their left branch; searchsorted(side=left)
+    # returns i for x == x_i, and 0 only at x = 0
+    br = np.searchsorted(knots, xs, side="left")
+    br[br == 0] = 1
+    i = br - 1
+    u = np.clip((xs - knots[i]) / lengths[i], 0.0, 1.0)
+    al = spec.alpha[i]
+    if isinstance(spec.branch, fd.AffineBranch):
+        lin = spec.branch.c[i] * u + spec.branch.d[i]
+    elif (polys := fif_module._branch_polys(spec)) is not None:
+        bounds = np.searchsorted(i, np.arange(len(polys) + 1))
+        lin = np.empty(m + 1)
+        for k, poly in enumerate(polys):
+            lin[bounds[k]:bounds[k + 1]] = poly._eval(u[bounds[k]:bounds[k + 1]])
+    else:
+        lin = spec.branch.seed._eval(xs) - al * spec.branch.base._eval(u)
+    return xs, u, al, lin
+
+
+@st.composite
+def applier_cases(draw):
+    """A spec of N = 1..5 branches of one kind, and a resolution m.
+
+    Interior knots are grid nodes j/m, the next double above a node (so the
+    branch that ends at that node holds no node), or arbitrary points.
+    """
+    m = draw(st.sampled_from([2, 1000, 3 * 2 ** 10, 2 ** 12]))
+    n = draw(st.integers(1, 5))
+    xs = np.linspace(0.0, 1.0, m + 1)
+    node = st.integers(1, m - 1).map(lambda j: float(xs[j]))
+    interior = draw(st.lists(
+        st.one_of(node, node.map(lambda x: float(np.nextafter(x, 1.0))),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        min_size=n - 1, max_size=n - 1, unique=True))
+    knots = np.array([0.0, *sorted(interior), 1.0])
+    assume(np.all(np.diff(knots) > 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = rng.uniform(-0.95, 0.95, n)
+    kind = draw(st.sampled_from(["affine", "bernstein", "general"]))
+    if kind == "affine":
+        return fd.make_affine_spec(knots, rng.normal(size=n + 1), alpha), m
+    seed, base = bernstein_pair(draw(st.integers(2, 24)))
+    if kind == "general":
+        # Scaled(1.0, .) is exact but not a BernsteinFunc
+        seed, base = fd.Scaled(1.0, seed), fd.Scaled(1.0, base)
+    return fd.make_alpha_fractal_spec(knots, alpha, seed, base), m
+
+
+class TestBranchTerm:
+    @given(case=applier_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_branch_slices_equal_per_node_gathers(self, case):
+        spec, m = case
+        for got, want in zip(fif_module._make_applier(spec, m), per_node_applier(spec, m)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 
 class TestBranchPolynomials:

@@ -50,6 +50,21 @@ class TestEval:
         with pytest.raises(ValueError):
             fd.WeierstrassSeries(0.5, 0.5)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: fd.WeierstrassSeries(v, 3.0),
+            lambda v: fd.WeierstrassSeries(0.5, v),
+            lambda v: fd.Scaled(v, fd.Polynomial([0, 1])),
+            lambda v: fd.Shifted(v, fd.Polynomial([0, 1])),
+        ],
+        ids=["weierstrass_a", "weierstrass_b", "scaled", "shifted"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_parameters(self, make, value):
+        with pytest.raises(ValueError, match="must"):
+            make(value)
+
 
 class TestSample:
     def test_identity_grid(self):
@@ -224,6 +239,28 @@ class TestJson:
             {"kind": "piecewise_linear", "knots": [0, 0.5, 1], "values": [0, 1, 0]}
         )
         assert f(0.5) == 1.0
+
+    def test_piecewise_linear_roundtrip_is_exact(self):
+        f = fd.PiecewiseLinear([0.0, 0.1, 0.35, 1.0], [0.2, -1.0 / 3.0, 2.0 ** -40, 7.5])
+        back = fd.func_from_json(json.dumps(fd.func_to_json(f)))
+        assert isinstance(back, fd.PiecewiseLinear)
+        assert np.array_equal(back.partition.knots, f.partition.knots)
+        assert np.array_equal(back.values, f.values)
+        xs = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(back._eval(xs), f._eval(xs))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "weierstrass", "a": 0.5, "b": NaN}',
+            '{"kind": "weierstrass", "a": 0.5, "b": Infinity}',
+            '{"kind": "scaled", "factor": NaN, "inner": {"kind": "polynomial", "coeffs": [1.0]}}',
+            '{"kind": "shifted", "offset": -Infinity, "inner": {"kind": "polynomial", "coeffs": [1.0]}}',
+        ],
+    )
+    def test_non_finite_parameters_are_rejected(self, text):
+        with pytest.raises(ValueError, match="must be finite"):
+            fd.func_from_json(text)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
