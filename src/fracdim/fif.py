@@ -292,13 +292,10 @@ def _settle_end(lin_end: float, a: float, y: float) -> float:
 
     Iterated from the interpolation ordinate y, as grid iteration does, so
     both paths land on the same floating-point value; a start that has not
-    settled after 64 steps is replaced by the closed form.  The closed form
-    need not satisfy the equation bit for bit.  N-adic refinement tests the
-    right end's value once: if it satisfies its equation, every level nests
-    in the next and the residual blocks are not computed at all.  If it does
-    not, the right end is recomputed slightly differently on every level, so
-    the grid does not nest across levels, the residual copy and blocks run,
-    and the residual shows that drift instead of 0.0.
+    settled after 64 steps is replaced by the closed form, which need not
+    satisfy the equation bit for bit.  N-adic refinement holds both ends at
+    these values, so such an end shows in the residual as its own
+    equation's error and nowhere else.
     """
     for _ in range(64):
         nxt = lin_end + a * y
@@ -325,27 +322,20 @@ def _refine(spec: FifSpec, m: int, depth: int):
     in blocks of _REFINE_BLOCK values of r.
     Returns the grid and sup |T g - g| over all m + 1 nodes.
 
-    The last level writes node i*p + r as alpha_i prev[r] + lin(i, r / p),
-    where prev holds level depth - 1, and the residual there is
-    alpha_i g[N r] + lin(i, r / p) - g[i*p + r] with the same lin double.
-    Wherever g[N r] == prev[r] that is exactly zero.  The left end is never
-    recomputed; its own equation error is the first term of the residual.
-
-    Settled shortcut: when the right end's value satisfies its equation bit
-    for bit (lin_end + alpha_N g[1] == g[1], multiply then add, as a row is
-    written), that first term is the residual, and no copy or block is
-    computed.  By induction over levels, g_k[N r] == g_{k-1}[r] for every r:
-    level 1 writes node N from node 1 with that very equation; node 0 is
-    never rewritten; and level k writes node N r from pre-image
-    r'' = N r - i p_k, while level k - 1 wrote node r from r'' / N, on the
-    same branch, with the same lin double (affine branches: the same
-    quotient, below; table branches: the same entry) and, by the induction,
-    the same pre-image value.  So at the last level every g[N r] == prev[r].
-
-    Otherwise the m / N values of prev are copied before the last level
-    overwrites them (4 MB at m = 2^20, N = 2), a residual block whose
-    pre-images all equal their copies in prev is skipped, and only the
-    blocks that the right end's drift between levels reaches are computed.
+    One rule: both ends are fixed, and every other node is written once per
+    level from its pre-image.  The end values come from _settle_end; node 0
+    is never rewritten, and the right end, which a level's last row writes
+    as lin_end + alpha_N g_{k-1}[p_k], is set back after each level.  So
+    every level nests in the next, g_k[N r] == g_{k-1}[r] for every r, by
+    induction over levels: the ends hold their values, and level k writes
+    node N r from pre-image r'' = N r - i p_k, while level k - 1 wrote node
+    r from r'' / N, on the same branch, with the same lin double (affine
+    branches: the same quotient, below; table branches: the same entry) and,
+    by the induction, the same pre-image value.  At the last level every
+    other node was written as alpha_i g[N r] + lin(i, r / p), which is its
+    operator value exactly, so the residual is the larger of the two end
+    equations' errors, each rounded as a row write rounds (multiply, then
+    add): 0.0 when both end values satisfy their equations bit for bit.
 
     Affine branches take u = r / p_k per block from a ramp of integers built
     once: ramp + lo is the exact integer r, and r / p_k and (r p / p_k) / p
@@ -378,15 +368,12 @@ def _refine(spec: FifSpec, m: int, depth: int):
             return lin[:, step * lo:step * (hi - 1) + 1:step]
 
     g = np.empty(m + 1)
-    g[0] = _settle_end(lin_block(0, 1, 1)[0, 0], alpha[0], spec.ys[0])
+    lin_start = lin_block(0, 1, 1)[0, 0]
+    g[0] = _settle_end(lin_start, alpha[0], spec.ys[0])
     lin_end = lin_block(1, 2, 1)[-1, 0]
-    g[1] = _settle_end(lin_end, alpha[-1], spec.ys[-1])
-    # rounded as a row write rounds: multiply, then add
-    settled = lin_end + alpha[-1] * g[1] == g[1]
+    g[1] = end = _settle_end(lin_end, alpha[-1], spec.ys[-1])
     pk = 1
     for _ in range(depth):
-        if pk == p and not settled:  # the last level: keep the values its row 0 overwrites
-            prev = g[1:p + 1].copy()
         for lo in range(0, pk, _REFINE_BLOCK):
             hi = min(lo + _REFINE_BLOCK, pk)
             lin_k = lin_block(lo + 1, hi + 1, pk)
@@ -397,28 +384,9 @@ def _refine(spec: FifSpec, m: int, depth: int):
                 np.multiply(alpha[i], coarse, out=row)
                 row += lin_k[i]
         pk *= n
-    # max |t| block by block; abs keeps an all-zero block at +0.0
-    sups = [abs(lin_block(0, 1, p)[0, 0] + alpha[0] * g[0] - g[0])]
-    if settled:  # the levels nest, so every block below would be skipped
-        return g, float(sups[0])
-    t = np.empty(min(p, _REFINE_BLOCK))
-    buf = np.empty_like(t)
-    for lo in range(0, p, _REFINE_BLOCK):
-        hi = min(lo + _REFINE_BLOCK, p)
-        # g[N r], the pre-images of nodes i*p + r, gathered once so that the
-        # comparison and the rows read them contiguously
-        pre = buf[:hi - lo]
-        pre[...] = g[n * (lo + 1):n * hi + 1:n]
-        if np.array_equal(pre, prev[lo:hi]):
-            continue  # the nodes were written from these very values, so t is zero
-        lin_p = lin_block(lo + 1, hi + 1, p)
-        tb = t[:hi - lo]
-        for i in range(n):
-            np.multiply(alpha[i], pre, out=tb)
-            tb += lin_p[i]
-            tb -= g[i * p + lo + 1:i * p + hi + 1]
-            sups += [abs(tb.max()), abs(tb.min())]
-    return g, float(np.max(sups))
+        g[pk] = end
+    residual = max(abs(lin_start + alpha[0] * g[0] - g[0]), abs(lin_end + alpha[-1] * end - end))
+    return g, float(residual)
 
 
 def _iterate(sweep: _Sweep, g: np.ndarray, s: float, tol: float, max_iterations: int | None):
@@ -481,15 +449,15 @@ def solve_fixed_point(
     N-adic refinement runs when the knots equal np.linspace(0, 1, N + 1)
     exactly with N >= 2, m = N^k with k >= 1, and s = max|alpha_i| > 0.
     Every branch pre-image of a grid node is then a grid node, so the fixed
-    point is built level by level from the endpoint values in O(m) work with
-    no stopping rule; iterations reports k, and the residual is
-    sup|T g - g| over the grid with exact pre-images.  It is 0.0 when both
-    endpoint values satisfy their equations bit for bit (see _settle_end);
-    otherwise it is a few ulps, from the left end's own equation or from
-    the right end's drift between levels.  When the right end satisfies its
-    equation the levels nest, and the residual is the left end's term with
-    no pass over the grid; only a drifting right end costs a residual pass
-    (see _refine).  tol and max_iterations do not apply on this path.
+    point is built level by level in O(m) work with no stopping rule: both
+    ends are fixed at the values that solve their own equations (see
+    _settle_end), and every other node is written once per level from its
+    pre-image, so each level is every N-th node of the next.  iterations
+    reports k, and the residual is sup|T g - g| over the grid with exact
+    pre-images, which is the larger of the two end equations' errors: 0.0
+    when both end values satisfy their equations bit for bit, a few ulps
+    otherwise (see _refine).  tol and max_iterations do not apply on this
+    path.
 
     Otherwise the operator is iterated.  When COARSE = 64 divides m and
     m / 64 >= 16, the iteration starts from the fixed point on m / 64
@@ -502,10 +470,13 @@ def solve_fixed_point(
     max_iterations caps the iteration budget below the contraction-rate
     estimate.  iterations counts the sweeps on the m-interval grid only;
     the coarse solves are not counted, and max_iterations does not cap them.
-    A tol that is not positive and finite raises ValueError on both paths.
+    A tol that is not positive and finite, or an m below 1, raises
+    ValueError on both paths.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
+    if m < 1:
+        raise ValueError("resolution must be >= 1")
     depth = _refinement_depth(spec, m) if spec.contraction_factor > 0.0 else None
     if depth is not None:
         g, residual = _refine(spec, m, depth)

@@ -116,6 +116,12 @@ class WeierstrassSeries(Func):
         self.k_max = _weierstrass_terms(self.a) if k_max is None else int(k_max)
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
+        try:
+            top = self.b ** self.k_max * math.pi
+        except OverflowError:
+            top = math.inf
+        if top == math.inf:
+            raise ValueError("k_max too large: the top frequency b^k_max pi must be a finite double")
 
     def _eval(self, x):
         out = np.zeros_like(x)
@@ -333,6 +339,13 @@ def func_from_json(obj) -> Func:
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("function JSON must be an object with a 'kind' field")
+    try:
+        return _func_from_obj(obj)
+    except TypeError as exc:  # a field of the wrong JSON type, such as null for a number
+        raise ValueError(f"{obj['kind']!r} function JSON has a field of the wrong type: {exc}") from exc
+
+
+def _func_from_obj(obj: dict) -> Func:
     kind = obj["kind"]
     if kind == "polynomial":
         return Polynomial(obj["coeffs"])

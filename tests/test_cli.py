@@ -190,6 +190,28 @@ class TestApproximate:
                   "--mode", "dense", "--n", "2")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "func",
+        [
+            {"kind": "scaled", "factor": None, "inner": {"kind": "polynomial", "coeffs": [1.0]}},
+            {"kind": "weierstrass", "a": "x", "b": 3},
+            {"kind": "sum", "terms": 5},
+        ],
+        ids=["null-factor", "string-a", "int-terms"],
+    )
+    def test_func_field_of_the_wrong_type_exits_one(self, func):
+        res = run("approximate", "--func", json.dumps(func), "--beta", "1.5",
+                  "--mode", "box", "--n", "4", "--m", str(2 ** 10))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+        assert func["kind"] in res.stderr
+
+    def test_box_resolution_below_one_exits_one(self):
+        res = run("approximate", "--func", self.QUAD, "--beta", "1.5",
+                  "--mode", "box", "--n", "4", "--m", "0")
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+
     def test_hausdorff_mode_accepts_large_ordinates(self):
         cubic = json.dumps({"kind": "polynomial", "coeffs": [
             -83021.0455669064, -61294.48370689712, -57226.60186157056, 71728.38643318087]})
@@ -204,6 +226,13 @@ class TestGenerate:
         res = run("generate", "weierstrass", "--m", str(2 ** 10), "--out", str(out))
         assert res.exit_code == 0
         assert len(out.read_text().strip().splitlines()) == 2 ** 10 + 2  # header + m+1
+
+    def test_weierstrass_top_frequency_overflow_exits_one(self, tmp_path):
+        out = tmp_path / "w.csv"
+        res = run("generate", "weierstrass", "--k", "700", "--m", "16", "--out", str(out))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+        assert not out.exists()
 
     def test_fif_zero_alpha_is_broken_line(self, tmp_path):
         spec = {
@@ -261,6 +290,18 @@ class TestGenerate:
                   "--tol", tol, "--out", str(out))
         assert res.exit_code == 1
         assert not out.exists()
+
+    # (0, .5, 1) would refine at a power of two, (0, .3, 1) iterates
+    @pytest.mark.parametrize("knots", [[0.0, 0.5, 1.0], [0.0, 0.3, 1.0]])
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_fif_resolution_below_one_exits_one(self, tmp_path, knots, m):
+        out = tmp_path / "fif.csv"
+        spec = dict(TENT_SPEC, knots=knots)
+        res = run("generate", "fif", "--spec", json.dumps(spec), "--m", m, "--out", str(out))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+        assert not out.exists()
+
 
 class TestExtend:
     DOMAIN = {

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdim as fd
@@ -246,6 +246,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="tol"):
             fd.solve_fixed_point(spec, m=4096, tol=tol)
 
+    # the same two paths as above
+    @pytest.mark.parametrize("knots", [[0.0, 0.3, 1.0], [0.0, 0.5, 1.0]])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_rejects_resolution_below_one(self, knots, m):
+        spec = fd.make_affine_spec(knots, [0.1, -0.7, 0.4], [0.6, -0.6])
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            fd.solve_fixed_point(spec, m=m)
+
     def test_convergence_error_carries_residual(self):
         spec = fd.make_affine_spec([0, 0.3, 1], [0.0, 1.0, 0.0], [0.95, 0.95])
         with pytest.raises(ConvergenceError) as exc:
@@ -448,6 +456,7 @@ def allocating_refine(spec, m, depth):
         finer = np.empty(n * (g.size - 1) + 1)
         finer[0] = g[0]
         finer[1:].reshape(n, -1)[...] = lin[:, step::step] + al * g[1:]
+        finer[-1] = g[-1]
         g = finer
     residual = max(
         abs(lin[0, 0] + spec.alpha[0] * g[0] - g[0]),
@@ -524,9 +533,9 @@ class TestNAdicRefinement:
         monkeypatch.setattr(fif_module, "_REFINE_BLOCK", block)
         if drift:
             # end values one ulp above the closed form need not satisfy their
-            # equations, so the right end can move between levels and the
-            # residual computes the blocks it reaches instead of skipping
-            # them; the oracle looks up the same _settle_end
+            # equations, so each level's last row writes a right end that
+            # differs from the held one; the oracle looks up the same
+            # _settle_end
             monkeypatch.setattr(fif_module, "_settle_end",
                                 lambda lin, a, y: np.nextafter(lin / (1 - a), np.inf))
         m = n ** depth
@@ -547,7 +556,8 @@ class TestNAdicRefinement:
     @pytest.mark.parametrize("n, depth, seed", [(2, 10, 17), (3, 6, 7), (4, 5, 2), (5, 4, 13)])
     def test_unsettled_right_end_equals_allocating_oracle(self, n, depth, seed):
         # drawn like the property tests; these seeds give a negative alpha_N
-        # whose right end has no settled double, so the residual blocks run
+        # whose right end has no settled double, so only holding it makes the
+        # levels nest, and the residual is its equation's error
         rng = np.random.default_rng(seed)
         ys = rng.uniform(-1.0, 1.0, n + 1)
         alpha = rng.uniform(-0.95, 0.95, n)
@@ -560,6 +570,9 @@ class TestNAdicRefinement:
         assert np.array_equal(fif.grid.values, want)
         assert fif.residual == want_res
         assert fif.residual > 0.0
+        assert fif.residual == abs(lin_end + alpha[-1] * end - end)
+        coarse = fd.solve_fixed_point(spec, m=n ** (depth - 1)).grid.values
+        assert np.array_equal(coarse.view(np.int64), fif.grid.values[::n].view(np.int64))
 
     @given(
         n=st.sampled_from([2, 3, 4, 5]),
@@ -605,11 +618,9 @@ class TestNAdicRefinement:
     def test_settled_levels_nest(self, n, level, bernstein, seed):
         """The solve on N^(k-1) intervals is every N-th node of the solve on N^k, bit for bit.
 
-        _refine's settled shortcut, which returns the left-end term as the
-        residual without computing the blocks, relies on this.  It holds
-        when both end values satisfy their equations, so specs with a
-        nonzero residual are left out: there the right end moves between
-        levels.  Affine branches and
+        This holds for every spec, whether or not the end values satisfy
+        their equations, because _refine holds both ends fixed; its residual
+        from the two end equations alone relies on it.  Affine branches and
         Bernstein pairs of one order evaluate their linear part at r / p,
         the same double at every resolution.  Other alpha-fractal pairs are
         left out: they evaluate the seed on np.linspace(0, 1, m + 1), and
@@ -628,7 +639,6 @@ class TestNAdicRefinement:
         else:
             spec = fd.make_affine_spec(knots, rng.uniform(-1.0, 1.0, n + 1), alpha)
         fine = fd.solve_fixed_point(spec, m=n ** depth)
-        assume(fine.residual == 0.0)
         coarse = fd.solve_fixed_point(spec, m=n ** (depth - 1)).grid.values
         assert np.array_equal(coarse.view(np.int64), fine.grid.values[::n].view(np.int64))
 

@@ -50,6 +50,15 @@ class TestEval:
         with pytest.raises(ValueError):
             fd.WeierstrassSeries(0.5, 0.5)
 
+    def test_weierstrass_top_frequency_must_be_finite(self):
+        # 3^645 pi is the last finite double of the form 3^k pi
+        assert fd.WeierstrassSeries(0.5, 3, 645).k_max == 645
+        for k in (646, 700):
+            with pytest.raises(ValueError, match="k_max"):
+                fd.WeierstrassSeries(0.5, 3, k)
+        with pytest.raises(ValueError, match="k_max"):
+            fd.WeierstrassSeries(0.5, 1e300)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -261,6 +270,22 @@ class TestJson:
     def test_non_finite_parameters_are_rejected(self, text):
         with pytest.raises(ValueError, match="must be finite"):
             fd.func_from_json(text)
+
+    def test_weierstrass_top_frequency_must_be_finite(self):
+        with pytest.raises(ValueError, match="k_max"):
+            fd.func_from_json({"kind": "weierstrass", "a": 0.5, "b": 3, "K": 700})
+
+    @pytest.mark.parametrize(
+        "obj, kind",
+        [
+            ({"kind": "scaled", "factor": None, "inner": {"kind": "polynomial", "coeffs": [1.0]}}, "scaled"),
+            ({"kind": "weierstrass", "a": "x", "b": 3}, "weierstrass"),
+            ({"kind": "sum", "terms": 5}, "sum"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_are_value_errors(self, obj, kind):
+        with pytest.raises(ValueError, match=kind):
+            fd.func_from_json(obj)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
