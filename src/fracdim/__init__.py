@@ -16,10 +16,8 @@ from .errors import (
 from .functions import (
     AntiDerivative,
     Func,
-    GridBacked,
     GridFunction,
     Partition,
-    PiecewiseLinear,
     Polynomial,
     Scaled,
     Shifted,

@@ -163,7 +163,7 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
             "residual": result.fif.residual,
             "iterations": result.fif.iterations,
         }
-        samples = result.fif.grid
+        samples = result.fif
     elif mode == "hausdorff":
         result = hausdorff_preserving_sequence(f, beta, n)
         if m is None:
@@ -180,7 +180,7 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
             "perturbed": result.perturbed,
             "residual": fif.residual,
         }
-        samples = fif.grid
+        samples = fif
     elif mode == "dense":
         approx = dense_approximant(f, beta, n)
         payload = {
@@ -226,7 +226,7 @@ def cmd_generate(kind, a, b, k_max, spec_arg, m, n_points, tol, seed, out_path):
         if spec_arg is None:
             raise ValueError("--spec is required for fif generation")
         fif = solve_fixed_point(spec_from_json(_load_json_arg(spec_arg)), m=m, tol=tol)
-        fif.grid.to_csv(out_path)
+        fif.to_csv(out_path)
     else:
         if spec_arg is None:
             raise ValueError("--spec is required for chaos generation")

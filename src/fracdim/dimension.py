@@ -91,6 +91,8 @@ class DataSet:
     @classmethod
     def from_points(cls, points) -> "DataSet":
         arr = np.asarray(points, dtype=float)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError(f"data must be a list of [x, y] pairs, got an array of shape {arr.shape}")
         return cls(arr[:, 0], arr[:, 1])
 
 
@@ -199,6 +201,8 @@ def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
 
 
 def _check_scale(g: GridFunction, j: int) -> None:
+    if g.partition is not None:
+        raise ValueError("box counting needs samples on the uniform grid j/m, not on a partition's knots")
     if j < 0:
         raise ValueError("scale exponent must be nonnegative")
     if 2.0 / g.m > 1.0 / (1 << j):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .bernstein import BernsteinFunc, BernsteinPoly, _restrict
 from .errors import ConvergenceError
-from .functions import Func, GridBacked, GridFunction, Partition, _grid_cell, func_from_json, func_to_json
+from .functions import Func, GridFunction, Partition, _grid_cell, func_from_json, func_to_json
 
 __all__ = [
     "AffineBranch",
@@ -266,13 +266,14 @@ def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
 
 
 @dataclass(eq=False)
-class FifFunction(GridBacked):
-    """Converged fixed point of a spec: a grid-backed function plus how it was solved."""
+class FifFunction(GridFunction):
+    """Converged fixed point of a spec on the grid j/m, plus how it was solved."""
 
     spec: FifSpec
-    grid: GridFunction
     residual: float
     iterations: int
+
+    grid = property(lambda self: self, doc="The fixed point itself, also read as fif.grid.")
 
 
 def _refinement_depth(spec: FifSpec, m: int) -> int | None:
@@ -480,7 +481,7 @@ def solve_fixed_point(
     depth = _refinement_depth(spec, m) if spec.contraction_factor > 0.0 else None
     if depth is not None:
         g, residual = _refine(spec, m, depth)
-        return FifFunction(spec=spec, grid=GridFunction(m, g), residual=residual, iterations=depth)
+        return FifFunction(m, g, spec=spec, residual=residual, iterations=depth)
     xs, u, al, lin = _make_applier(spec, m)
     s = spec.contraction_factor
     g = _start(spec, xs, u, al, lin, s, tol)
@@ -494,7 +495,7 @@ def solve_fixed_point(
             residual=residual,
             iterations=iterations,
         )
-    return FifFunction(spec=spec, grid=GridFunction(m, g), residual=residual, iterations=iterations)
+    return FifFunction(m, g, spec=spec, residual=residual, iterations=iterations)
 
 
 def chaos_game(spec: FifSpec, n_points: int, seed: int) -> np.ndarray:

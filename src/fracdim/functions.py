@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,6 @@ __all__ = [
     "Func",
     "Polynomial",
     "WeierstrassSeries",
-    "PiecewiseLinear",
-    "GridBacked",
     "Sum",
     "Scaled",
     "Shifted",
@@ -91,6 +90,13 @@ class Polynomial(Func):
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; ValueError unless it is integral, as 8 and 8.0 are."""
+    if isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _weierstrass_terms(a: float) -> int:
     # smallest K with a^(K+1) / (1 - a) below the tail bound
     k = 0
@@ -113,7 +119,7 @@ class WeierstrassSeries(Func):
             raise ValueError("frequency base b must be finite and exceed 1")
         self.a = float(a)
         self.b = float(b)
-        self.k_max = _weierstrass_terms(self.a) if k_max is None else int(k_max)
+        self.k_max = _weierstrass_terms(self.a) if k_max is None else _whole(k_max, "k_max")
         if self.k_max < 0:
             raise ValueError("k_max must be nonnegative")
         try:
@@ -161,8 +167,12 @@ def _grid_cell(pos: np.ndarray, m: int):
 
 
 @dataclass(eq=False)
-class GridFunction:
-    """Uniform samples: values[j] = f(j/m) for j = 0..m."""
+class GridFunction(Func):
+    """Samples values[j] at sorted nodes xs[j], j = 0..m, linear in between.
+
+    The nodes are the uniform grid j/m, built only when xs is read, or the
+    knots of a partition when the function is built by on_knots.
+    """
 
     m: int
     values: np.ndarray
@@ -178,17 +188,25 @@ class GridFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
-        self._xs = None
+        self.partition = None
+
+    @classmethod
+    def on_knots(cls, knots, values) -> "GridFunction":
+        """Broken line through (knots[j], values[j]), evaluated with np.interp."""
+        out = cls(len(knots) - 1, values)
+        out.partition = Partition(knots)
+        return out
 
     @property
     def xs(self) -> np.ndarray:
-        if self._xs is None:
-            self._xs = np.linspace(0.0, 1.0, self.m + 1)
-        return self._xs
+        if self.partition is not None:
+            return self.partition.knots
+        return np.linspace(0.0, 1.0, self.m + 1)
 
-    def interp(self, x):
-        """Piecewise-linear interpolation between grid nodes."""
-        i0, frac = _grid_cell(np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * self.m, self.m)
+    def _eval(self, x):
+        if self.partition is not None:
+            return np.interp(x, self.partition.knots, self.values)
+        i0, frac = _grid_cell(np.clip(x, 0.0, 1.0) * self.m, self.m)
         return self.values[i0] * (1.0 - frac) + self.values[i0 + 1] * frac
 
     def to_csv(self, path) -> None:
@@ -197,36 +215,15 @@ class GridFunction:
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
         """Read an x,y CSV whose x column is the uniform grid j/m, j = 0..m."""
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # rejected below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2 or data.shape[0] < 2:
+            raise ValueError(f"expected two columns x,y and at least two rows, got shape {data.shape}")
         xs = np.linspace(0.0, 1.0, data.shape[0])
         if not np.all(np.abs(data[:, 0] - xs) <= 1e-12):
             raise ValueError("x column must be the uniform grid j/m, j = 0..m, in order")
         return cls(data.shape[0] - 1, data[:, 1])
-
-
-class PiecewiseLinear(Func):
-    """Broken-line interpolant of (knots, values)."""
-
-    def __init__(self, knots, values):
-        self.partition = knots if isinstance(knots, Partition) else Partition(np.asarray(knots, dtype=float))
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != self.partition.knots.shape:
-            raise ValueError("values length must equal knot count")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
-    def _eval(self, x):
-        return np.interp(x, self.partition.knots, self.values)
-
-
-class GridBacked(Func):
-    """Function backed by uniform samples, linear between nodes."""
-
-    def __init__(self, grid: GridFunction):
-        self.grid = grid
-
-    def _eval(self, x):
-        return self.grid.interp(x)
 
 
 class Sum(Func):
@@ -262,7 +259,7 @@ class Shifted(Func):
         return self.inner._eval(x) + self.offset
 
 
-class AntiDerivative(GridBacked):
+class AntiDerivative(GridFunction):
     """Cumulative integral from 0, via composite trapezoid on a fixed grid.
 
     The cumulative table on panels + 1 nodes is built on construction, and
@@ -271,14 +268,14 @@ class AntiDerivative(GridBacked):
     """
 
     def __init__(self, inner: Func, panels: int = DEFAULT_QUADRATURE_PANELS):
-        if panels < 1:
-            raise ValueError("panels must be >= 1")
         self.inner = inner
-        self.panels = int(panels)
+        self.panels = _whole(panels, "panels")
+        if self.panels < 1:
+            raise ValueError("panels must be >= 1")
         ys = sample(inner, self.panels).values
         h = 1.0 / self.panels
         cum = np.concatenate(([0.0], np.cumsum(0.5 * h * (ys[1:] + ys[:-1]))))
-        super().__init__(GridFunction(self.panels, cum))
+        super().__init__(self.panels, cum)
 
 
 def sample(f: Func, m: int) -> GridFunction:
@@ -315,16 +312,12 @@ def func_to_json(f: Func) -> dict:
         return {"kind": "polynomial", "coeffs": f.coeffs.tolist()}
     if isinstance(f, WeierstrassSeries):
         return {"kind": "weierstrass", "a": f.a, "b": f.b, "K": f.k_max}
-    if isinstance(f, PiecewiseLinear):
-        return {
-            "kind": "piecewise_linear",
-            "knots": f.partition.knots.tolist(),
-            "values": f.values.tolist(),
-        }
     if isinstance(f, AntiDerivative):
         return {"kind": "antiderivative", "inner": func_to_json(f.inner), "panels": f.panels}
-    if isinstance(f, GridBacked):
-        return {"kind": "grid", "values": f.grid.values.tolist()}
+    if isinstance(f, GridFunction):
+        if f.partition is None:
+            return {"kind": "grid", "values": f.values.tolist()}
+        return {"kind": "piecewise_linear", "knots": f.partition.knots.tolist(), "values": f.values.tolist()}
     if isinstance(f, Sum):
         return {"kind": "sum", "terms": [func_to_json(f.f), func_to_json(f.g)]}
     if isinstance(f, Scaled):
@@ -352,10 +345,10 @@ def _func_from_obj(obj: dict) -> Func:
     if kind == "weierstrass":
         return WeierstrassSeries(obj["a"], obj["b"], obj.get("K"))
     if kind == "piecewise_linear":
-        return PiecewiseLinear(obj["knots"], obj["values"])
+        return GridFunction.on_knots(obj["knots"], obj["values"])
     if kind == "grid":
         values = np.asarray(obj["values"], dtype=float)
-        return GridBacked(GridFunction(values.size - 1, values))
+        return GridFunction(values.size - 1, values)
     if kind == "sum":
         terms = [func_from_json(t) for t in obj["terms"]]
         if len(terms) < 2:

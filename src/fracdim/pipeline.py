@@ -29,7 +29,7 @@ from .fif import (
 from .functions import (
     AntiDerivative,
     Func,
-    GridBacked,
+    GridFunction,
     Partition,
     Scaled,
     Shifted,
@@ -70,15 +70,15 @@ def _require_beta(beta: float) -> None:
         )
 
 
-class Anchor(GridBacked):
+class Anchor(GridFunction):
     """Affine-interpolant fixed point with known predicted box dimension.
 
-    Backed by the fixed point's grid; vanishes at both endpoints so it can
+    Holds the fixed point's samples; vanishes at both endpoints so it can
     be rescaled into gaps.
     """
 
     def __init__(self, fif: FifFunction, predicted_dim: float):
-        super().__init__(fif.grid)
+        super().__init__(fif.m, fif.values)
         self.fif = fif
         self.predicted_dim = float(predicted_dim)
 
@@ -219,7 +219,7 @@ def dense_approximant(f: Func, beta: float, k: int, anchor: Func | None = None) 
     if anchor is None:
         anchor = make_anchor(beta)
     _check_anchor(anchor, beta)
-    return Sum(GridBacked(sample(f, 2 ** k)), Scaled(1.0 / k, anchor))
+    return Sum(sample(f, 2 ** k), Scaled(1.0 / k, anchor))
 
 
 @dataclass(eq=False)
@@ -273,7 +273,10 @@ class ExtensionDomain:
     values: Func
 
     def __post_init__(self):
-        iv = [(float(a), float(b)) for a, b in self.intervals]
+        try:
+            iv = [(float(a), float(b)) for a, b in self.intervals]
+        except TypeError as exc:
+            raise ValueError(f"intervals must be a list of [a, b] pairs: {exc}") from exc
         if not iv:
             raise ValueError("need at least one interval")
         for a, b in iv:

@@ -84,7 +84,7 @@ def test_criterion_03_fixed_point_correctness():
         fif = fd.solve_fixed_point(spec, m=m, tol=1e-11)
         worst_residual = max(worst_residual, fd.self_ref_residual(spec, fif.grid))
         worst_knot = max(
-            worst_knot, float(np.max(np.abs(fif.grid.interp(knots) - ys)))
+            worst_knot, float(np.max(np.abs(fif.grid._eval(knots) - ys)))
         )
     ok = worst_residual <= 1e-10 and worst_knot <= 1e-9
     check(
@@ -111,7 +111,7 @@ def test_criterion_04_empirical_vs_predicted():
 
 def test_criterion_05_lipschitz_invariance(rough_15_fine):
     base = fd.estimate_box_dim(rough_15_fine.grid, 4, 12).raw_slope
-    rough = fd.GridBacked(rough_15_fine.grid)
+    rough = rough_15_fine.grid
     smooth = {
         "x": fd.Polynomial([0, 1]),
         "x^2": fd.Polynomial([0, 0, 1]),
@@ -274,7 +274,7 @@ def test_criterion_09_extension(anchor_15_fine):
 def test_criterion_10_chaos_game(tent_half_spec, tent_half_fif, tmp_path):
     pts = fd.chaos_game(tent_half_spec, 10 ** 5, seed=42)
     deviation = float(
-        np.max(np.abs(tent_half_fif.grid.interp(pts[:, 0]) - pts[:, 1]))
+        np.max(np.abs(tent_half_fif.grid._eval(pts[:, 0]) - pts[:, 1]))
     )
     paths = []
     for name in ("a.csv", "b.csv"):

@@ -240,7 +240,7 @@ class TestModulusOracle:
         fd.Polynomial([0.3, -1.0, 2.0, -1.5]),
         fd.WeierstrassSeries(0.5, 3, 6),
         BernsteinFunc(fd.bernstein_build(fd.WeierstrassSeries(0.45, 3, 4), 8)),
-        fd.GridBacked(fd.sample(fd.Polynomial([0.0, 1.0, -4.0, 3.0]), 100)),
+        fd.sample(fd.Polynomial([0.0, 1.0, -4.0, 3.0]), 100),
     ]
 
     @pytest.mark.parametrize("f", FUNCS)

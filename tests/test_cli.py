@@ -65,6 +65,12 @@ class TestPredictDim:
         res = run("predict-dim", "--spec", "{not json")
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("data", [[1, 2, 3], [[0, 0, 0], [0.5, 1, 0], [1, 0, 0]]], ids=["flat", "three-columns"])
+    def test_data_not_pairs_exits_one(self, data):
+        res = run("predict-dim", "--spec", json.dumps({"data": data, "alpha": [0.5, 0.5]}))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+
     def test_nan_alpha_exits_one(self):
         res = run("predict-dim", "--spec",
                   '{"data": [[0, 0], [0.5, 1], [1, 0]], "alpha": [NaN, 0.7]}')
@@ -120,6 +126,15 @@ class TestEstimateDim:
         res = run("estimate-dim", "--csv", str(path), "--jmin", "3", "--jmax", "8")
         assert res.exit_code == 1
         assert "x column" in res.stderr
+
+    @pytest.mark.parametrize("text", ["x,y\n", "x\n0\n1\n", "x,y,z\n0,1,2\n1,2,3\n", "x,y\n0,1\n"],
+                             ids=["header-only", "one-column", "three-columns", "one-row"])
+    def test_csv_of_other_shape_exits_one(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        res = run("estimate-dim", "--csv", str(path), "--jmin", "0", "--jmax", "2")
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
 
 
 class TestApproximate:
@@ -328,6 +343,13 @@ class TestExtend:
         bad = {"intervals": [[0.1, 0.4]], "values": {"kind": "polynomial", "coeffs": [0]}}
         res = run("extend", "--domain", json.dumps(bad), "--beta", "1.5")
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("intervals", [5, [5], [[None, 1.0]]], ids=["number", "list-of-numbers", "null-end"])
+    def test_intervals_not_pairs_exit_one(self, intervals):
+        bad = {"intervals": intervals, "values": {"kind": "polynomial", "coeffs": [0]}}
+        res = run("extend", "--domain", json.dumps(bad), "--beta", "1.5")
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
 
 
 def test_import_leaves_scipy_out():

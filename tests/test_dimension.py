@@ -193,6 +193,13 @@ class TestBoxCount:
         with pytest.raises(ScaleError):
             fd.box_count(g, 4)
 
+    @pytest.mark.parametrize("count", [lambda g: fd.box_count(g, 2), lambda g: fd.estimate_box_dim(g, 1, 3)],
+                             ids=["box_count", "estimate_box_dim"])
+    def test_box_counting_rejects_the_knots_form(self, count):
+        g = fd.GridFunction.on_knots(np.linspace(0.0, 1.0, 65) ** 2, np.zeros(65))
+        with pytest.raises(ValueError, match="uniform grid"):
+            count(g)
+
     def test_scale_consistency(self):
         g = fd.sample(fd.WeierstrassSeries(0.5, 3, 10), 2 ** 14)
         for j in range(2, 10):

@@ -235,7 +235,7 @@ class TestSolve:
         for i, (lo, hi, al) in enumerate([(0.0, 0.5, 0.6), (0.5, 1.0, -0.4)]):
             mask = (xs >= lo) & (xs <= hi) if i == 0 else (xs > lo) & (xs <= hi)
             u = (xs[mask] - lo) / (hi - lo)
-            rhs = al * (fif.grid.interp(u) - base._eval(u))
+            rhs = al * (fif.grid._eval(u) - base._eval(u))
             assert np.max(np.abs(left[mask] - rhs)) <= 1e-9
 
     # (0, .3, 1) iterates; (0, .5, 1) at m = 4096 refines
@@ -367,7 +367,7 @@ class TestChaosGame:
 
     def test_cross_validation_against_fixed_point(self, tent_half_spec, tent_half_fif):
         pts = fd.chaos_game(tent_half_spec, 10 ** 4, seed=42)
-        dev = np.max(np.abs(pts[:, 1] - tent_half_fif.grid.interp(pts[:, 0])))
+        dev = np.max(np.abs(pts[:, 1] - tent_half_fif.grid._eval(pts[:, 0])))
         assert dev <= 1e-3
 
     def test_rejects_alpha_fractal_branch(self):
@@ -398,7 +398,7 @@ class TestJson:
         fif = fd.solve_fixed_point(tent_half_spec, m=2 ** 10)
         obj = json.loads(json.dumps(fd.func_to_json(fif)))
         assert obj["kind"] == "grid"
-        assert np.array_equal(fd.func_from_json(obj).grid.values, fif.grid.values)
+        assert np.array_equal(fd.func_from_json(obj).values, fif.grid.values)
 
 
 def iterate_rb_apply(spec, m, tol):

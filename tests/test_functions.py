@@ -153,14 +153,36 @@ class TestCombinators:
         assert np.max(np.abs(F._eval(xs) - exact)) <= 10.0 / 4096 ** 2
 
     def test_piecewise_linear_hits_knots(self):
-        pl = fd.PiecewiseLinear([0, 0.25, 1.0], [1.0, -1.0, 2.0])
+        pl = fd.GridFunction.on_knots([0, 0.25, 1.0], [1.0, -1.0, 2.0])
         assert pl(0.25) == -1.0
         assert pl(0.625) == pytest.approx(0.5)
 
     def test_grid_backed_interpolates(self):
         g = fd.GridFunction(2, np.array([0.0, 1.0, 0.0]))
-        f = fd.GridBacked(g)
+        f = g
         assert f(0.25) == pytest.approx(0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_knots_form_is_np_interp(self, data):
+        inner = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), unique=True, max_size=12))
+        knots = np.array([0.0, *sorted(inner), 1.0])
+        values = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=knots.size, max_size=knots.size)))
+        xs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), max_size=64)))
+        f = fd.GridFunction.on_knots(knots, values)
+        assert np.array_equal(f(xs).view(np.int64), np.interp(xs, knots, values).view(np.int64))
+        assert np.array_equal(f(knots).view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("m", [1, 3, 64, 1000, 3 ** 7])
+    def test_uniform_form_weights_the_two_neighbouring_samples(self, m):
+        rng = np.random.default_rng(m)
+        g = fd.GridFunction(m, rng.standard_normal(m + 1))
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 4096), np.linspace(0.0, 1.0, m + 1)])
+        pos = xs * m
+        i0 = np.minimum(np.floor(pos).astype(np.int64), m - 1)
+        frac = pos - i0
+        want = g.values[i0] * (1.0 - frac) + g.values[i0 + 1] * frac
+        assert np.array_equal(g(xs).view(np.int64), want.view(np.int64))
 
 
 class TestPartitionAndGrid:
@@ -250,13 +272,29 @@ class TestJson:
         assert f(0.5) == 1.0
 
     def test_piecewise_linear_roundtrip_is_exact(self):
-        f = fd.PiecewiseLinear([0.0, 0.1, 0.35, 1.0], [0.2, -1.0 / 3.0, 2.0 ** -40, 7.5])
+        f = fd.GridFunction.on_knots([0.0, 0.1, 0.35, 1.0], [0.2, -1.0 / 3.0, 2.0 ** -40, 7.5])
         back = fd.func_from_json(json.dumps(fd.func_to_json(f)))
-        assert isinstance(back, fd.PiecewiseLinear)
+        assert isinstance(back, fd.GridFunction)
         assert np.array_equal(back.partition.knots, f.partition.knots)
         assert np.array_equal(back.values, f.values)
         xs = np.linspace(0.0, 1.0, 1001)
         assert np.array_equal(back._eval(xs), f._eval(xs))
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "weierstrass", "a": 0.5, "b": 3, "K": 1.5},
+        {"kind": "weierstrass", "a": 0.5, "b": 3, "K": math.inf},
+        {"kind": "antiderivative", "inner": {"kind": "polynomial", "coeffs": [1.0]}, "panels": 1.5},
+    ], ids=["K", "K-inf", "panels"])
+    def test_non_integer_counts_are_rejected(self, obj):
+        with pytest.raises(ValueError, match="whole number"):
+            fd.func_from_json(obj)
+
+    def test_integral_counts_load_as_ints(self):
+        w = fd.func_from_json({"kind": "weierstrass", "a": 0.5, "b": 3, "K": 8.0})
+        inner = {"kind": "polynomial", "coeffs": [1.0]}
+        f = fd.func_from_json({"kind": "antiderivative", "inner": inner, "panels": 64.0})
+        assert (w.k_max, f.panels) == (8, 64)
+        assert type(w.k_max) is int and type(f.panels) is int
 
     @pytest.mark.parametrize(
         "text",

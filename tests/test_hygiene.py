@@ -1,4 +1,8 @@
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,15 @@ def test_no_unread_private_helpers():
     package = Path(fracdim.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+README_PYTHON = re.findall(r"```python\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
+
+
+@pytest.mark.parametrize("block", README_PYTHON)
+def test_readme_python_blocks_run(tmp_path, block):
+    # each block runs in a fresh interpreter, so a name removed from the package fails here
+    src = str(Path(fracdim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr

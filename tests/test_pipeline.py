@@ -115,7 +115,7 @@ class TestDense:
         for k in (2, 4):
             approx = fd.dense_approximant(f, 1.5, k, anchor=anchor)
             knots = np.linspace(0, 1, 2 ** k + 1)
-            g_k = fd.PiecewiseLinear(knots, f._eval(knots))
+            g_k = fd.GridFunction.on_knots(knots, f._eval(knots))
             lhs = fd.sup_norm_diff(f, approx)
             rhs = fd.sup_norm_diff(f, g_k) + fd.sup_norm_diff(
                 anchor, fd.Polynomial([0.0])
@@ -208,7 +208,9 @@ class TestDerivative:
     lambda anchor: fd.derivative_dim_approximant(
         fd.Polynomial([0.3, -1.0]), 1.5, 3, nonneg_primitive=True, anchor=anchor
     ).primitive,
-], ids=["anchor", "dense", "primitive"])
+    lambda anchor: fd.GridFunction.on_knots([0.0, 0.1, 0.35, 1.0], [0.2, -1.0 / 3.0, 2.0 ** -40, 7.5]),
+    lambda anchor: fd.sample(fd.WeierstrassSeries(0.5, 3, 8), 3 ** 5),
+], ids=["anchor", "dense", "primitive", "knots", "sample"])
 def test_grid_backed_json_roundtrip_is_exact(build):
     f = build(fd.make_anchor(1.5, m=2 ** 10))
     back = fd.func_from_json(json.loads(json.dumps(fd.func_to_json(f))))
