@@ -1,12 +1,14 @@
 """Command-line interface: JSON reports on stdout, CSV samples via --out.
 
-Exit codes: 0 success, 1 malformed input, 2 hypothesis/gate diagnostic,
-3 convergence failure.
+Exit codes: 0 success, 1 malformed input (usage errors included: a bad choice
+or type, an unknown or missing option, a missing --csv file; and a bare
+`fracdim`, which prints the command list), 2 hypothesis/gate diagnostic,
+3 convergence failure.  Only the command group's main maps an outcome to its
+code.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -52,25 +54,31 @@ def _load_func(value: str):
     return func_from_json(_load_json_arg(value))
 
 
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Commands(click.Group):
+    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
+        """Run one command, then sys.exit with its outcome's code; standalone_mode is not read."""
+        code, line = 0, None
         try:
-            return fn(*args, **kwargs)
+            super().main(args, prog_name, standalone_mode=False, **extra)
+        except click.exceptions.NoArgsIsHelpError as exc:
+            click.echo(exc.format_message())
+            code = 1
         except HypothesisError as exc:
-            click.echo(f"diagnostic: {exc}", err=True)
-            sys.exit(2)
+            code, line = 2, f"diagnostic: {exc}"
         except ConvergenceError as exc:
-            click.echo(f"convergence failure: {exc}", err=True)
-            sys.exit(3)
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-            click.echo(f"input error: {exc}", err=True)
-            sys.exit(1)
+            code, line = 3, f"convergence failure: {exc}"
+        except click.ClickException as exc:
+            code, line = 1, f"input error: {exc.format_message()}"
+        except click.Abort:
+            code, line = 1, "input error: aborted"
+        except (ValueError, KeyError, OSError) as exc:
+            code, line = 1, f"input error: {exc}"
+        if line:
+            click.echo(line, err=True)
+        sys.exit(code)
 
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main():
     """Fractal interpolation, dimension prediction, and approximation tools."""
@@ -79,42 +87,35 @@ def main():
 @main.command("predict-dim")
 @click.option("--spec", "spec_arg", required=True, help="FifSpec JSON, {data, alpha} JSON, or a path")
 @click.option("--mode", type=click.Choice(["box", "hausdorff"]), default="box", show_default=True)
-@handle_errors
 def cmd_predict_dim(spec_arg, mode):
     """Closed-form dimension prediction for affine interpolation data."""
     obj = _load_json_arg(spec_arg)
     if "data" in obj:
         data = DataSet.from_points(obj["data"])
-        alpha = np.asarray(obj["alpha"], dtype=float)
+        alpha = obj["alpha"]
     else:
         spec = spec_from_json(obj)
         data = DataSet(spec.partition.knots, spec.ys)
         alpha = spec.alpha
-    if mode == "hausdorff":
-        report = predict_hausdorff_dim(data, alpha)
-    else:
-        report = predict_box_dim(data, alpha)
+    predict = predict_hausdorff_dim if mode == "hausdorff" else predict_box_dim
+    report = predict(data, alpha)
     _echo_json(report.to_json())
     if report.predicted is None:
-        click.echo(f"diagnostic: {report.diagnostic}", err=True)
-        sys.exit(2)
+        raise HypothesisError(report.diagnostic)
 
 
 @main.command("estimate-dim")
 @click.option("--func", "func_arg", default=None, help="function JSON or path")
 @click.option("--csv", "csv_path", default=None, type=click.Path(exists=True), help="x,y sample CSV")
-@click.option("--m", "m", default=2 ** 20, show_default=True, help="sampling resolution (power of two)")
+@click.option("--m", "m", default=2 ** 20, show_default=True, help="sampling resolution")
 @click.option("--jmin", default=4, show_default=True)
 @click.option("--jmax", default=12, show_default=True)
 @click.option("--out", "out_path", default=None, help="write per-scale counts CSV here")
-@handle_errors
 def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
     """Box-counting dimension estimate with log-log regression."""
     if (func_arg is None) == (csv_path is None):
         raise ValueError("provide exactly one of --func or --csv")
     if func_arg is not None:
-        if m & (m - 1):
-            raise ValueError("--m must be a power of two")
         grid = sample(_load_func(func_arg), m)
     else:
         grid = GridFunction.from_csv(csv_path)
@@ -140,7 +141,6 @@ def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--nonneg", is_flag=True, help="derivative mode: request a nonnegative primitive")
 @click.option("--out", "out_path", default=None, help="write approximant samples CSV here")
-@handle_errors
 def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
     """Dimension-preserving approximant construction."""
     f = _load_func(func_arg)
@@ -217,7 +217,6 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
 @click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
 @click.option("--out", "out_path", required=True)
-@handle_errors
 def cmd_generate(kind, a, b, k_max, spec_arg, m, n_points, tol, seed, out_path):
     """Sample generators: rough series, fixed points, chaos-game points."""
     if kind == "weierstrass":
@@ -241,7 +240,6 @@ def cmd_generate(kind, a, b, k_max, spec_arg, m, n_points, tol, seed, out_path):
 @click.option("--jmin", default=4, show_default=True)
 @click.option("--jmax", default=12, show_default=True)
 @click.option("--out", "out_path", default=None, help="write extension samples CSV here")
-@handle_errors
 def cmd_extend(domain_arg, beta, m, jmin, jmax, out_path):
     """Continuous extension across gaps with prescribed dimension."""
     obj = _load_json_arg(domain_arg)

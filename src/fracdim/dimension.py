@@ -90,7 +90,7 @@ class DataSet:
 
     @classmethod
     def from_points(cls, points) -> "DataSet":
-        arr = np.asarray(points, dtype=float)
+        arr = _floats(points, "data")
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(f"data must be a list of [x, y] pairs, got an array of shape {arr.shape}")
         return cls(arr[:, 0], arr[:, 1])
@@ -104,8 +104,16 @@ def collinear(data: DataSet, tol: float = COLLINEAR_TOL) -> bool:
     return bool(np.max(np.abs(data.ys - chord)) <= tol)
 
 
+def _floats(obj, name: str) -> np.ndarray:
+    """obj as a float array; ValueError, not TypeError, when it holds anything but numbers."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{name} must hold numbers only: {exc}") from exc
+
+
 def _scale_factors(alpha) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = _floats(alpha, "scale factors")
     if not np.all(np.isfinite(alpha)):
         raise ValueError("scale factors must be finite")
     return alpha

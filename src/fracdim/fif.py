@@ -247,13 +247,19 @@ class _Sweep:
         return abs(max(float(t.max()), -float(t.min())))
 
 
+def _sweep_on(spec: FifSpec, g: GridFunction) -> _Sweep:
+    if g.partition is not None:
+        raise ValueError("the branch-map operator needs samples on the uniform grid j/m, not on a partition's knots")
+    return _Sweep(*_make_applier(spec, g.m)[1:])
+
+
 def rb_apply(spec: FifSpec, g: GridFunction) -> GridFunction:
-    """One application of the branch-map operator to grid samples."""
-    return GridFunction(g.m, _Sweep(*_make_applier(spec, g.m)[1:])(g.values, np.empty(g.m + 1)))
+    """One application of the branch-map operator to samples on the uniform grid j/m."""
+    return GridFunction(g.m, _sweep_on(spec, g)(g.values, np.empty(g.m + 1)))
 
 
 def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
-    """Sup over the grid of |g - T g|, with g(u) interpolated linearly between nodes.
+    """Sup over the uniform grid j/m of |g - T g|, with g(u) interpolated linearly between nodes.
 
     Pre-images are located as u * m in floating point.  On a uniform
     partition with N a power of two they land on grid nodes exactly; for
@@ -262,7 +268,7 @@ def self_ref_residual(spec: FifSpec, g: GridFunction) -> float:
     such error.  FifFunction.residual from N-adic refinement is taken with
     exact pre-images instead.
     """
-    return _Sweep(*_make_applier(spec, g.m)[1:]).step(g.values, np.empty(g.m + 1))
+    return _sweep_on(spec, g).step(g.values, np.empty(g.m + 1))
 
 
 @dataclass(eq=False)

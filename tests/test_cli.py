@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -65,9 +66,18 @@ class TestPredictDim:
         res = run("predict-dim", "--spec", "{not json")
         assert res.exit_code == 1
 
-    @pytest.mark.parametrize("data", [[1, 2, 3], [[0, 0, 0], [0.5, 1, 0], [1, 0, 0]]], ids=["flat", "three-columns"])
-    def test_data_not_pairs_exits_one(self, data):
-        res = run("predict-dim", "--spec", json.dumps({"data": data, "alpha": [0.5, 0.5]}))
+    @pytest.mark.parametrize(
+        "data, alpha",
+        [
+            ([1, 2, 3], [0.5, 0.5]),
+            ([[0, 0, 0], [0.5, 1, 0], [1, 0, 0]], [0.5, 0.5]),
+            ({"a": 1}, [0.5, 0.5]),
+            (TENT["data"], {"a": 1}),
+        ],
+        ids=["flat", "three-columns", "data-object", "alpha-object"],
+    )
+    def test_data_not_pairs_exits_one(self, data, alpha):
+        res = run("predict-dim", "--spec", json.dumps({"data": data, "alpha": alpha}))
         assert res.exit_code == 1
         assert res.stderr.startswith("input error:")
 
@@ -101,9 +111,12 @@ class TestEstimateDim:
     def test_requires_exactly_one_source(self):
         assert run("estimate-dim").exit_code == 1
 
-    def test_non_power_of_two_rejected(self):
-        res = run("estimate-dim", "--func", self.IDENTITY, "--m", "1000")
-        assert res.exit_code == 1
+    def test_any_resolution_matches_the_library(self):
+        res = run("estimate-dim", "--func", self.IDENTITY, "--m", "100000")
+        assert res.exit_code == 0
+        f = fracdim.func_from_json(json.loads(self.IDENTITY))
+        report = fracdim.estimate_box_dim(fracdim.sample(f, 100000), 4, 12)
+        assert res.stdout == json.dumps(report.to_json(), indent=2) + "\n"
 
     def test_csv_roundtrip_and_scales_out(self, tmp_path):
         gen = run("generate", "weierstrass", "--m", str(2 ** 14),
@@ -350,6 +363,34 @@ class TestExtend:
         res = run("extend", "--domain", json.dumps(bad), "--beta", "1.5")
         assert res.exit_code == 1
         assert res.stderr.startswith("input error:")
+
+
+QUAD = TestApproximate.QUAD
+GROUP_HELP = main.get_help(click.Context(main, info_name="main"))
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout_start, stderr_start",
+    [
+        (["approximate", "--func", QUAD, "--beta", "1.5", "--mode", "foo"], 1, "", "input error:"),
+        (["generate", "fif", "--m", "abc", "--out", "x.csv"], 1, "", "input error:"),
+        (["approximate", "--no-such-option"], 1, "", "input error:"),
+        (["approximate", "--func", QUAD, "--mode", "box"], 1, "", "input error:"),
+        (["estimate-dim", "--csv", "no-such-file.csv"], 1, "", "input error:"),
+        (["--help"], 0, "Usage:", ""),
+        (["approximate", "--help"], 0, "Usage:", ""),
+        (["--version"], 0, f"main, version {fracdim.__version__}\n", ""),
+        ([], 1, GROUP_HELP, ""),
+    ],
+    ids=["bad-choice", "bad-type", "unknown-option", "missing-option", "missing-csv",
+         "help", "command-help", "version", "bare"],
+)
+def test_exit_code_contract(args, code, stdout_start, stderr_start):
+    # README's table: 0 success, 1 malformed input, usage errors included
+    res = run(*args)
+    assert res.exit_code == code
+    assert res.stdout.startswith(stdout_start)
+    assert res.stderr.startswith(stderr_start)
 
 
 def test_import_leaves_scipy_out():

@@ -94,6 +94,15 @@ class TestRbApply:
             rhs = s * np.max(np.abs(g1.values - g2.values))
             assert lhs <= rhs + 1e-12
 
+    @pytest.mark.parametrize("apply", [fd.rb_apply, fd.self_ref_residual], ids=["rb_apply", "self_ref_residual"])
+    def test_rejects_the_knots_form(self, apply):
+        # read as if its nodes were j/64, this copy of a solved FIF scored a residual of 0.50
+        spec = fd.make_affine_spec([0, 0.3, 1], [0.1, -0.7, 0.4], [0.6, -0.6])
+        knots = np.concatenate([[0.0], np.sort(np.random.default_rng(4).uniform(0, 1, 63)), [1.0]])
+        g = fd.GridFunction.on_knots(knots, fd.solve_fixed_point(spec, m=2 ** 12)(knots))
+        with pytest.raises(ValueError, match="uniform grid"):
+            apply(spec, g)
+
 
 class TestSpecValidation:
     def test_rejects_non_contractive_alpha(self):

@@ -43,6 +43,31 @@ def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def callers_of(source: str, target: str) -> list[str]:
+    """Innermost function around each call to target, a dotted name; "<module>" outside any."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == target:
+                found.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_each_caller():
+    source = "import sys\nsys.exit(1)\ndef f():\n    def g(): sys.exit(2)\n    sys.exit(3)\n"
+    assert callers_of(source, "sys.exit") == ["<module>", "g", "f"]
+
+
+def test_cli_exits_from_one_function():
+    # the exit-code policy lives in one place, the command group's main
+    callers = callers_of((Path(fracdim.__file__).parent / "cli.py").read_text(), "sys.exit")
+    assert len(set(callers)) == 1, callers
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Module-level _names (def, class or assignment) that no module reads.
 
