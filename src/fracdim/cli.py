@@ -1,18 +1,18 @@
-"""Command-line interface: JSON reports on stdout, CSV samples via --out.
+"""Command-line interface on argparse: JSON reports on stdout, CSV samples via --out.
 
-Exit codes: 0 success, 1 malformed input (usage errors included: a bad choice
-or type, an unknown or missing option, a missing --csv file; and a bare
-`fracdim`, which prints the command list), 2 hypothesis/gate diagnostic,
-3 convergence failure.  Only the command group's main maps an outcome to its
-code.
+Exit codes: 0 success, --help and --version; 1 malformed input (usage errors
+included: a bad choice or type, an unknown, abbreviated or missing option, a
+missing --csv file; and a bare `fracdim`, which prints the command list on
+stdout), 2 hypothesis/gate diagnostic, 3 convergence failure.  `main` is the
+one place that maps an outcome to its code.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 
-import click
 import numpy as np
 
 from . import __version__
@@ -37,113 +37,49 @@ from .pipeline import (
     hausdorff_preserving_sequence,
 )
 
-def _echo_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
 
-
-def _load_json_arg(value: str):
-    """Accept inline JSON or a path to a JSON file."""
+def _load_json_arg(value: str) -> dict:
+    """Accept an inline JSON object or a path to a file holding one."""
     text = value
     if not value.lstrip().startswith(("{", "[")):
         with open(value) as fh:
             text = fh.read()
-    return json.loads(text)
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
-def _load_func(value: str):
-    return func_from_json(_load_json_arg(value))
-
-
-class _Commands(click.Group):
-    def main(self, args=None, prog_name=None, standalone_mode=True, **extra):
-        """Run one command, then sys.exit with its outcome's code; standalone_mode is not read."""
-        code, line = 0, None
-        try:
-            super().main(args, prog_name, standalone_mode=False, **extra)
-        except click.exceptions.NoArgsIsHelpError as exc:
-            click.echo(exc.format_message())
-            code = 1
-        except HypothesisError as exc:
-            code, line = 2, f"diagnostic: {exc}"
-        except ConvergenceError as exc:
-            code, line = 3, f"convergence failure: {exc}"
-        except click.ClickException as exc:
-            code, line = 1, f"input error: {exc.format_message()}"
-        except click.Abort:
-            code, line = 1, "input error: aborted"
-        except (ValueError, KeyError, OSError) as exc:
-            code, line = 1, f"input error: {exc}"
-        if line:
-            click.echo(line, err=True)
-        sys.exit(code)
-
-
-@click.group(cls=_Commands)
-@click.version_option(__version__)
-def main():
-    """Fractal interpolation, dimension prediction, and approximation tools."""
-
-
-@main.command("predict-dim")
-@click.option("--spec", "spec_arg", required=True, help="FifSpec JSON, {data, alpha} JSON, or a path")
-@click.option("--mode", type=click.Choice(["box", "hausdorff"]), default="box", show_default=True)
-def cmd_predict_dim(spec_arg, mode):
+def cmd_predict_dim(spec, mode):
     """Closed-form dimension prediction for affine interpolation data."""
-    obj = _load_json_arg(spec_arg)
+    obj = _load_json_arg(spec)
     if "data" in obj:
         data = DataSet.from_points(obj["data"])
         alpha = obj["alpha"]
     else:
-        spec = spec_from_json(obj)
-        data = DataSet(spec.partition.knots, spec.ys)
-        alpha = spec.alpha
-    predict = predict_hausdorff_dim if mode == "hausdorff" else predict_box_dim
-    report = predict(data, alpha)
-    _echo_json(report.to_json())
+        fif_spec = spec_from_json(obj)
+        data = DataSet(fif_spec.partition.knots, fif_spec.ys)
+        alpha = fif_spec.alpha
+    report = (predict_hausdorff_dim if mode == "hausdorff" else predict_box_dim)(data, alpha)
+    print(json.dumps(report.to_json(), indent=2))
     if report.predicted is None:
         raise HypothesisError(report.diagnostic)
 
 
-@main.command("estimate-dim")
-@click.option("--func", "func_arg", default=None, help="function JSON or path")
-@click.option("--csv", "csv_path", default=None, type=click.Path(exists=True), help="x,y sample CSV")
-@click.option("--m", "m", default=2 ** 20, show_default=True, help="sampling resolution")
-@click.option("--jmin", default=4, show_default=True)
-@click.option("--jmax", default=12, show_default=True)
-@click.option("--out", "out_path", default=None, help="write per-scale counts CSV here")
-def cmd_estimate_dim(func_arg, csv_path, m, jmin, jmax, out_path):
+def cmd_estimate_dim(func, csv, m, jmin, jmax, out):
     """Box-counting dimension estimate with log-log regression."""
-    if (func_arg is None) == (csv_path is None):
+    if (func is None) == (csv is None):
         raise ValueError("provide exactly one of --func or --csv")
-    if func_arg is not None:
-        grid = sample(_load_func(func_arg), m)
-    else:
-        grid = GridFunction.from_csv(csv_path)
+    grid = sample(func_from_json(_load_json_arg(func)), m) if func is not None else GridFunction.from_csv(csv)
     report = estimate_box_dim(grid, jmin, jmax)
-    _echo_json(report.to_json())
-    if out_path:
-        report.scales_to_csv(out_path)
+    print(json.dumps(report.to_json(), indent=2))
+    if out:
+        report.scales_to_csv(out)
 
 
-@main.command("approximate")
-@click.option("--func", "func_arg", required=True, help="target function JSON or path")
-@click.option("--beta", type=float, required=True)
-@click.option("--mode", type=click.Choice(["box", "hausdorff", "dense", "derivative"]), required=True)
-@click.option("--n", "n", type=int, default=4, show_default=True)
-@click.option(
-    "--m",
-    "m",
-    type=int,
-    default=None,
-    help=f"solve/sample resolution [default: {DEFAULT_RESOLUTION}; hausdorff mode: the largest "
-    f"power of n up to {DEFAULT_RESOLUTION}, so the solve refines exactly]",
-)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--nonneg", is_flag=True, help="derivative mode: request a nonnegative primitive")
-@click.option("--out", "out_path", default=None, help="write approximant samples CSV here")
-def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
+def cmd_approximate(func, beta, mode, n, m, tol, nonneg, out):
     """Dimension-preserving approximant construction."""
-    f = _load_func(func_arg)
+    f = func_from_json(_load_json_arg(func))
     if m is None and mode != "hausdorff":
         m = DEFAULT_RESOLUTION
     if mode == "box":
@@ -171,92 +107,156 @@ def cmd_approximate(func_arg, beta, mode, n, m, tol, nonneg, out_path):
             while m * n <= DEFAULT_RESOLUTION:
                 m *= n
         fif = solve_fixed_point(result.spec, m=m, tol=tol)
-        payload = {
-            "mode": "hausdorff",
-            "n": n,
-            "alpha": result.spec.alpha[0],
-            "sum_abs_alpha": result.sum_abs_alpha,
-            "predicted": result.report.predicted,
-            "perturbed": result.perturbed,
-            "residual": fif.residual,
-        }
+        payload = {"mode": "hausdorff", "n": n, "alpha": result.spec.alpha[0],
+                   "sum_abs_alpha": result.sum_abs_alpha, "predicted": result.report.predicted,
+                   "perturbed": result.perturbed, "residual": fif.residual}
         samples = fif
     elif mode == "dense":
         approx = dense_approximant(f, beta, n)
-        payload = {
-            "mode": "dense",
-            "k": n,
-            "beta": beta,
-            "sup_err": sup_norm_diff(f, approx),
-        }
+        payload = {"mode": "dense", "k": n, "beta": beta, "sup_err": sup_norm_diff(f, approx)}
         samples = sample(approx, m)
     else:
         result = derivative_dim_approximant(f, beta, n, nonneg_primitive=nonneg)
-        payload = {
-            "mode": "derivative",
-            "n": n,
-            "beta": beta,
-            "primitive_at_0": result.primitive(0.0),
-            "primitive_at_1": result.primitive(1.0),
-            "min_primitive": result.min_primitive,
-        }
+        payload = {"mode": "derivative", "n": n, "beta": beta, "primitive_at_0": result.primitive(0.0),
+                   "primitive_at_1": result.primitive(1.0), "min_primitive": result.min_primitive}
         samples = sample(result.primitive, m)
-    _echo_json(payload)
-    if out_path:
-        samples.to_csv(out_path)
+    print(json.dumps(payload, indent=2))
+    if out:
+        samples.to_csv(out)
 
 
-@main.command("generate")
-@click.argument("kind", type=click.Choice(["weierstrass", "fif", "chaos"]))
-@click.option("--a", type=float, default=0.5, show_default=True)
-@click.option("--b", type=float, default=3.0, show_default=True)
-@click.option("--k", "k_max", type=int, default=None, help="weierstrass truncation")
-@click.option("--spec", "spec_arg", default=None, help="FifSpec JSON or path (fif/chaos)")
-@click.option("--m", "m", type=int, default=DEFAULT_RESOLUTION, show_default=True)
-@click.option("--n-points", type=int, default=10 ** 5, show_default=True)
-@click.option("--tol", type=float, default=DEFAULT_TOL, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
-@click.option("--out", "out_path", required=True)
-def cmd_generate(kind, a, b, k_max, spec_arg, m, n_points, tol, seed, out_path):
+def cmd_generate(kind, a, b, k, spec, m, n_points, tol, seed, out):
     """Sample generators: rough series, fixed points, chaos-game points."""
     if kind == "weierstrass":
-        sample(WeierstrassSeries(a, b, k_max), m).to_csv(out_path)
+        sample(WeierstrassSeries(a, b, k), m).to_csv(out)
+    elif spec is None:
+        raise ValueError(f"--spec is required for {kind} generation")
     elif kind == "fif":
-        if spec_arg is None:
-            raise ValueError("--spec is required for fif generation")
-        fif = solve_fixed_point(spec_from_json(_load_json_arg(spec_arg)), m=m, tol=tol)
-        fif.to_csv(out_path)
+        solve_fixed_point(spec_from_json(_load_json_arg(spec)), m=m, tol=tol).to_csv(out)
     else:
-        if spec_arg is None:
-            raise ValueError("--spec is required for chaos generation")
-        pts = chaos_game(spec_from_json(_load_json_arg(spec_arg)), n_points, seed)
-        write_xy_csv(out_path, pts[:, 0], pts[:, 1])
+        pts = chaos_game(spec_from_json(_load_json_arg(spec)), n_points, seed)
+        write_xy_csv(out, pts[:, 0], pts[:, 1])
 
 
-@main.command("extend")
-@click.option("--domain", "domain_arg", required=True, help='{"intervals": [[a,b],...], "values": <func JSON>} or path')
-@click.option("--beta", type=float, required=True)
-@click.option("--m", "m", type=int, default=2 ** 20, show_default=True)
-@click.option("--jmin", default=4, show_default=True)
-@click.option("--jmax", default=12, show_default=True)
-@click.option("--out", "out_path", default=None, help="write extension samples CSV here")
-def cmd_extend(domain_arg, beta, m, jmin, jmax, out_path):
+def cmd_extend(domain, beta, m, jmin, jmax, out):
     """Continuous extension across gaps with prescribed dimension."""
-    obj = _load_json_arg(domain_arg)
-    domain = ExtensionDomain(obj["intervals"], func_from_json(obj["values"]))
-    extended = extend_function(domain, beta)
+    obj = _load_json_arg(domain)
+    extended = extend_function(ExtensionDomain(obj["intervals"], func_from_json(obj["values"])), beta)
     grid = sample(extended, m)
     report = estimate_box_dim(grid, jmin, jmax)
-    payload = {
-        "beta": beta,
-        "max_jump": extended.max_jump,
-        "estimated": report.estimated,
-        "raw_slope": report.raw_slope,
-        "r_squared": report.r_squared,
-    }
-    _echo_json(payload)
-    if out_path:
-        grid.to_csv(out_path)
+    payload = {"beta": beta, "max_jump": extended.max_jump, "estimated": report.estimated,
+               "raw_slope": report.raw_slope, "r_squared": report.r_squared}
+    print(json.dumps(payload, indent=2))
+    if out:
+        grid.to_csv(out)
+
+
+class _Formatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Help that starts with "Usage:" and shows a default only where there is one."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
+
+    def _get_help_string(self, action):
+        shown = action.default is not None and action.default is not False
+        return super()._get_help_string(action) if shown else action.help
+
+
+class _Parser(argparse.ArgumentParser):
+    """Only --help, no -h; rejects abbreviated options; a usage error raises ValueError for main."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_Formatter, allow_abbrev=False, add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _parser(prog: str) -> _Parser:
+    parser = _Parser(prog=prog, description="Fractal interpolation, dimension prediction, and approximation tools.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(title="commands")
+
+    def command(fn, name):
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.set_defaults(run=fn)
+        return sub
+
+    def scales(sub):
+        sub.add_argument("--m", type=int, default=2 ** 20, help="sampling resolution")
+        sub.add_argument("--jmin", type=int, default=4, help="coarsest box scale 2^-jmin")
+        sub.add_argument("--jmax", type=int, default=12, help="finest box scale 2^-jmax")
+
+    sub = command(cmd_predict_dim, "predict-dim")
+    sub.add_argument("--spec", required=True, help="FifSpec JSON, {data, alpha} JSON, or a path")
+    sub.add_argument("--mode", choices=["box", "hausdorff"], default="box", help="dimension to predict")
+
+    sub = command(cmd_estimate_dim, "estimate-dim")
+    sub.add_argument("--func", help="function JSON or path")
+    sub.add_argument("--csv", help="x,y sample CSV")
+    scales(sub)
+    sub.add_argument("--out", help="write per-scale counts CSV here")
+
+    sub = command(cmd_approximate, "approximate")
+    sub.add_argument("--func", required=True, help="target function JSON or path")
+    sub.add_argument("--beta", type=float, required=True, help="prescribed dimension")
+    sub.add_argument("--mode", choices=["box", "hausdorff", "dense", "derivative"], required=True)
+    sub.add_argument("--n", type=int, default=4, help="order or branch count")
+    sub.add_argument("--m", type=int, help=f"solve/sample resolution [default: {DEFAULT_RESOLUTION}; hausdorff mode: "
+                     f"the largest power of n up to {DEFAULT_RESOLUTION}, so the solve refines exactly]")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
+    sub.add_argument("--nonneg", action="store_true", help="derivative mode: request a nonnegative primitive")
+    sub.add_argument("--out", help="write approximant samples CSV here")
+
+    sub = command(cmd_generate, "generate")
+    sub.add_argument("kind", choices=["weierstrass", "fif", "chaos"])
+    sub.add_argument("--a", type=float, default=0.5, help="weierstrass amplitude ratio")
+    sub.add_argument("--b", type=float, default=3.0, help="weierstrass frequency ratio")
+    sub.add_argument("--k", type=int, help="weierstrass truncation")
+    sub.add_argument("--spec", help="FifSpec JSON or path (fif/chaos)")
+    sub.add_argument("--m", type=int, default=DEFAULT_RESOLUTION, help="sampling resolution")
+    sub.add_argument("--n-points", type=int, default=10 ** 5, help="chaos-game points")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
+    sub.add_argument("--seed", type=int, default=42, help="chaos-game seed")
+    sub.add_argument("--out", required=True, help="write samples CSV here")
+
+    sub = command(cmd_extend, "extend")
+    sub.add_argument("--domain", required=True, help='{"intervals": [[a,b],...], "values": <func JSON>} or path')
+    sub.add_argument("--beta", type=float, required=True, help="prescribed dimension")
+    scales(sub)
+    sub.add_argument("--out", help="write extension samples CSV here")
+    return parser
+
+
+def main(argv: list[str] | None = None, prog: str = "fracdim") -> None:
+    """Run one command, then sys.exit with its outcome's code."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser(prog)
+    code, line = 0, None
+    try:
+        if argv:
+            kwargs = vars(parser.parse_args(argv))
+            kwargs.pop("run")(**kwargs)
+        else:
+            parser.print_help()
+            code = 1
+    except SystemExit as exc:  # argparse's --help and --version, after printing
+        code = exc.code
+    except HypothesisError as exc:
+        code, line = 2, f"diagnostic: {exc}"
+    except ConvergenceError as exc:
+        code, line = 3, f"convergence failure: {exc}"
+    except (ValueError, KeyError, OSError) as exc:
+        code, line = 1, f"input error: {exc}"
+    if line:
+        print(line, file=sys.stderr)
+    sys.exit(code)
+
+
+# main.main(args=, prog_name=, standalone_mode=): the call perfbench/cli_launcher.py and
+# tests/test_cli.py make; standalone_mode is not read.
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args, prog_name or "fracdim")
 
 
 if __name__ == "__main__":

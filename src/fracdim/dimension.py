@@ -149,6 +149,17 @@ def dimension_equation_root(lengths, alpha) -> float:
     return mid
 
 
+def _branch_scales(data: DataSet, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """alpha as floats with |alpha_i| < 1, one per interval of data, and the interval lengths."""
+    alpha = _scale_factors(alpha)
+    if np.any(np.abs(alpha) >= 1.0):
+        raise ValueError("scale factors must satisfy |alpha_i| < 1")
+    lengths = np.diff(data.xs)
+    if alpha.shape != lengths.shape:
+        raise ValueError("alpha length must equal interval count")
+    return alpha, lengths
+
+
 def predict_box_dim(data: DataSet, alpha) -> DimReport:
     """Closed-form box dimension of the affine interpolant's graph.
 
@@ -156,12 +167,7 @@ def predict_box_dim(data: DataSet, alpha) -> DimReport:
     diagnostic) when the data are collinear, since the theorem hypothesis
     fails there.
     """
-    alpha = _scale_factors(alpha)
-    if np.any(np.abs(alpha) >= 1.0):
-        raise ValueError("scale factors must satisfy |alpha_i| < 1")
-    lengths = np.diff(data.xs)
-    if alpha.shape != lengths.shape:
-        raise ValueError("alpha length must equal interval count")
+    alpha, lengths = _branch_scales(data, alpha)
     if np.sum(np.abs(alpha)) <= 1.0:
         return DimReport(predicted=1.0, predicted_kind="degenerate_one")
     if collinear(data):
@@ -189,9 +195,7 @@ def hausdorff_condition(data: DataSet, alpha, tol: float = CONDITION_TOL) -> boo
 
 def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
     """Hausdorff dimension via the same root, gated on the quotient condition."""
-    alpha = _scale_factors(alpha)
-    if np.any(np.abs(alpha) >= 1.0):
-        raise ValueError("scale factors must satisfy |alpha_i| < 1")
+    alpha, lengths = _branch_scales(data, alpha)
     if np.sum(np.abs(alpha)) <= 1.0:
         return DimReport(
             predicted=None,
@@ -202,7 +206,6 @@ def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
             predicted=None,
             diagnostic="quotient condition fails: all branch quotients coincide",
         )
-    lengths = np.diff(data.xs)
     return DimReport(
         predicted=dimension_equation_root(lengths, alpha), predicted_kind="hausdorff"
     )

@@ -1,13 +1,14 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
-import click
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import fracdim
 from fracdim.cli import main
@@ -22,7 +23,11 @@ TENT_SPEC = {
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    """Run one command in-process: its exit code and what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main.main(args=list(args), prog_name="main")
+    return SimpleNamespace(exit_code=exc.value.code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 class TestPredictDim:
@@ -91,6 +96,20 @@ class TestPredictDim:
         path.write_text(json.dumps(TENT))
         res = run("predict-dim", "--spec", str(path))
         assert res.exit_code == 0
+
+    def test_spec_file_not_an_object_exits_one(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("5")
+        res = run("predict-dim", "--spec", str(path))
+        assert res.exit_code == 1
+        assert res.stderr.startswith("input error:")
+
+    @pytest.mark.parametrize("alpha", [0.7, [0.7] * 5], ids=["scalar", "five-on-four"])
+    def test_hausdorff_alpha_count_mismatch_exits_one(self, alpha):
+        data = [[i / 4, (i / 4) * (1 - i / 4)] for i in range(5)]
+        res = run("predict-dim", "--spec", json.dumps({"data": data, "alpha": alpha}), "--mode", "hausdorff")
+        assert res.exit_code == 1
+        assert res.stderr == "input error: alpha length must equal interval count\n"
 
 
 class TestEstimateDim:
@@ -366,7 +385,7 @@ class TestExtend:
 
 
 QUAD = TestApproximate.QUAD
-GROUP_HELP = main.get_help(click.Context(main, info_name="main"))
+GROUP_HELP = run("--help").stdout
 
 
 @pytest.mark.parametrize(
@@ -381,9 +400,13 @@ GROUP_HELP = main.get_help(click.Context(main, info_name="main"))
         (["approximate", "--help"], 0, "Usage:", ""),
         (["--version"], 0, f"main, version {fracdim.__version__}\n", ""),
         ([], 1, GROUP_HELP, ""),
+        (["generate", "weierstrass", "--n-p", "5", "--out", "x.csv"], 1, "", "input error:"),
+        (["predict-dim", "--spec", "[5]"], 1, "", "input error:"),
+        (["extend", "--domain", "[1]", "--beta", "1.5"], 1, "", "input error:"),
     ],
     ids=["bad-choice", "bad-type", "unknown-option", "missing-option", "missing-csv",
-         "help", "command-help", "version", "bare"],
+         "help", "command-help", "version", "bare", "abbreviated-option", "spec-not-an-object",
+         "domain-not-an-object"],
 )
 def test_exit_code_contract(args, code, stdout_start, stderr_start):
     # README's table: 0 success, 1 malformed input, usage errors included
@@ -393,13 +416,34 @@ def test_exit_code_contract(args, code, stdout_start, stderr_start):
     assert res.stderr.startswith(stderr_start)
 
 
-def test_import_leaves_scipy_out():
-    # scipy costs about a second of start-up for every command; keep it out
+def python(*args):
+    """Run a fresh interpreter on this source tree."""
     src = str(Path(fracdim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    res = subprocess.run(
-        [sys.executable, "-c", "import fracdim.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "args, code, stdout_start, stderr_start",
+    [
+        (["approximate", "--func", QUAD, "--beta", "1.5", "--mode", "foo"], 1, "", "input error:"),
+        (["--version"], 0, f"fracdim, version {fracdim.__version__}\n", ""),
+        ([], 1, "Usage: fracdim ", ""),
+    ],
+    ids=["bad-choice", "version", "bare"],
+)
+def test_module_entry_point(args, code, stdout_start, stderr_start):
+    # the in-process runner skips the module's __main__ block and the default program name
+    res = python("-m", "fracdim.cli", *args)
+    assert res.returncode == code
+    assert res.stdout.startswith(stdout_start)
+    assert res.stderr.startswith(stderr_start)
+
+
+@pytest.mark.parametrize("module", ["scipy", "click"])
+def test_import_leaves_scipy_out(module):
+    # scipy costs about a second of start-up for every command, click about 20 ms; keep both out
+    res = python("-c", f"import fracdim.cli, sys; print({module!r} in sys.modules)")
+    assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
