@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, --help and --version; 1 malformed input (usage errors
 included: a bad choice or type, an unknown, abbreviated or missing option, a
-missing --csv file; and a bare `fracdim`, which prints the command list on
-stdout), 2 hypothesis/gate diagnostic, 3 convergence failure.  `main` is the
-one place that maps an outcome to its code.
+missing --csv file; non-finite numbers; sizes that cannot be allocated; and a
+bare `fracdim`, which prints the command list on stdout), 2 hypothesis/gate
+diagnostic, 3 convergence failure.  `main` is the one place that maps an
+outcome to its code.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .functions import (
     write_xy_csv,
 )
 from .pipeline import (
+    DENSE_MAX_K,
     ExtensionDomain,
     dense_approximant,
     derivative_dim_approximant,
@@ -202,7 +204,8 @@ def _parser(prog: str) -> _Parser:
     sub.add_argument("--func", required=True, help="target function JSON or path")
     sub.add_argument("--beta", type=float, required=True, help="prescribed dimension")
     sub.add_argument("--mode", choices=["box", "hausdorff", "dense", "derivative"], required=True)
-    sub.add_argument("--n", type=int, default=4, help="order or branch count")
+    sub.add_argument("--n", type=int, default=4, help="box: Bernstein order; hausdorff: branch count; dense and "
+                     f"derivative: exponent k of the 2^k + 1 sample knots, from 1 to {DENSE_MAX_K}")
     sub.add_argument("--m", type=int, help=f"solve/sample resolution [default: {DEFAULT_RESOLUTION}; hausdorff mode: "
                      f"the largest power of n up to {DEFAULT_RESOLUTION}, so the solve refines exactly]")
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
@@ -247,7 +250,7 @@ def main(argv: list[str] | None = None, prog: str = "fracdim") -> None:
         code, line = 2, f"diagnostic: {exc}"
     except ConvergenceError as exc:
         code, line = 3, f"convergence failure: {exc}"
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         code, line = 1, f"input error: {exc}"
     if line:
         print(line, file=sys.stderr)

@@ -396,7 +396,7 @@ def _refine(spec: FifSpec, m: int, depth: int):
     return g, float(residual)
 
 
-def _iterate(sweep: _Sweep, g: np.ndarray, s: float, tol: float, max_iterations: int | None):
+def _iterate(sweep: _Sweep, g: np.ndarray, s: float, tol: float):
     """Sweep from g until sup|g_{k+1} - g_k| <= tol (1 - s) / s, or to the cap.
 
     Two buffers take turns as iterate and output, so no sweep allocates.
@@ -411,8 +411,6 @@ def _iterate(sweep: _Sweep, g: np.ndarray, s: float, tol: float, max_iterations:
         target = tol * (1.0 - s) / s
         if d > target:
             cap = math.ceil(math.log(target / d) / math.log(s)) + 8
-            if max_iterations is not None:
-                cap = min(cap, max_iterations)
             while d > target:
                 if iterations >= cap:
                     return g, out, iterations, False
@@ -433,24 +431,19 @@ def _start(spec: FifSpec, xs, u, al, lin, s: float, tol: float) -> np.ndarray:
 
     The coarse solve runs on every COARSE-th node of the fine arrays, so it
     evaluates no branch function again; it starts the same way and is
-    interpolated linearly onto xs.  It takes no max_iterations and never
+    interpolated linearly onto xs as a GridFunction on its nodes.  It never
     raises: if the contraction-rate cap stops it, its last iterate is the start.
     """
     m = xs.size - 1
     if m % COARSE or m // COARSE < COARSE_MIN:
-        return np.interp(xs, spec.partition.knots, spec.ys)
+        return GridFunction.on_knots(spec.partition.knots, spec.ys)._eval(xs)
     xs_c, u_c, al_c, lin_c = (a[::COARSE] for a in (xs, u, al, lin))
     g_c = _start(spec, xs_c, u_c, al_c, lin_c, s, tol)
-    g_c = _iterate(_Sweep(u_c, al_c, lin_c), g_c, s, tol, None)[0]
-    return np.interp(xs, xs_c, g_c)
+    g_c = _iterate(_Sweep(u_c, al_c, lin_c), g_c, s, tol)[0]
+    return GridFunction.on_knots(xs_c, g_c)._eval(xs)
 
 
-def solve_fixed_point(
-    spec: FifSpec,
-    m: int = DEFAULT_RESOLUTION,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int | None = None,
-) -> FifFunction:
+def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = DEFAULT_TOL) -> FifFunction:
     """Fixed point of the branch-map operator on the grid j/m, j = 0..m.
 
     N-adic refinement runs when the knots equal np.linspace(0, 1, N + 1)
@@ -463,8 +456,7 @@ def solve_fixed_point(
     reports k, and the residual is sup|T g - g| over the grid with exact
     pre-images, which is the larger of the two end equations' errors: 0.0
     when both end values satisfy their equations bit for bit, a few ulps
-    otherwise (see _refine).  tol and max_iterations do not apply on this
-    path.
+    otherwise (see _refine).  tol does not apply on this path.
 
     Otherwise the operator is iterated.  When COARSE = 64 divides m and
     m / 64 >= 16, the iteration starts from the fixed point on m / 64
@@ -473,10 +465,11 @@ def solve_fixed_point(
     from the broken-line interpolant.  The stopping rule converts
     successive-iterate distance to a residual bound via the contraction
     inequality: once sup|g_{k+1} - g_k| is below tol (1 - s) / s, the
-    self-referential residual of the final iterate is below tol.
-    max_iterations caps the iteration budget below the contraction-rate
-    estimate.  iterations counts the sweeps on the m-interval grid only;
-    the coarse solves are not counted, and max_iterations does not cap them.
+    self-referential residual of the final iterate is below tol.  The
+    budget is the contraction rate's estimate of the sweeps that needs,
+    plus 8; an iteration that stalls at the rounding floor above its target
+    raises ConvergenceError.  iterations counts the sweeps on the
+    m-interval grid only; the coarse solves are not counted.
     A tol that is not positive and finite, or an m below 1, raises
     ValueError on both paths.
     """
@@ -493,7 +486,7 @@ def solve_fixed_point(
     g = _start(spec, xs, u, al, lin, s, tol)
     sweep = _Sweep(u, al, lin)
     del xs, u, al  # the sweep holds what the fine sweeps read
-    g, spare, iterations, converged = _iterate(sweep, g, s, tol, max_iterations)
+    g, spare, iterations, converged = _iterate(sweep, g, s, tol)
     residual = sweep.step(g, spare)
     if not converged:
         raise ConvergenceError(

@@ -98,9 +98,18 @@ def _whole(value, name: str) -> int:
 
 
 def _weierstrass_terms(a: float) -> int:
-    # smallest K with a^(K+1) / (1 - a) below the tail bound
-    k = 0
-    while a ** (k + 1) / (1.0 - a) >= WEIERSTRASS_TAIL_BOUND:
+    """Smallest K >= 0 with a^(K+1) / (1 - a) below the tail bound.
+
+    K + 1 > log(bound (1 - a)) / log(a) gives K to within rounding; the
+    tail test itself then settles it, so K is the one a search from 0 finds.
+    """
+    def above(k):
+        return a ** (k + 1) / (1.0 - a) >= WEIERSTRASS_TAIL_BOUND
+
+    k = max(0, math.floor(math.log(WEIERSTRASS_TAIL_BOUND * (1.0 - a)) / math.log(a)))
+    while k > 0 and not above(k - 1):
+        k -= 1
+    while above(k):
         k += 1
     return k
 

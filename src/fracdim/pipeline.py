@@ -34,6 +34,7 @@ from .functions import (
     Scaled,
     Shifted,
     Sum,
+    _whole,
     lipschitz_estimate,
     sample,
     sup_norm_diff,
@@ -60,9 +61,13 @@ INCREMENT_TOL = 1e-9
 NONNEG_CHECK_RESOLUTION = 2 ** 14
 LIP_GRID = 2 ** 14
 LIP_CAP = 1e3
+# dense_approximant samples f on 2^k + 1 knots; 2^24 + 1 doubles are about 134 MB
+DENSE_MAX_K = 24
 
 
 def _require_beta(beta: float) -> None:
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite; got {beta!r}")
     if not 1.0 < beta < 2.0:
         raise BetaRangeError(
             f"beta must lie strictly inside (1, 2); got {beta!r} "
@@ -212,10 +217,12 @@ def dense_approximant(f: Func, beta: float, k: int, anchor: Func | None = None) 
 
     The interpolant is Lipschitz, so the sum inherits the anchor's graph
     dimension; the shrinking factor 1/k drives uniform convergence to f.
+    k must be a whole number from 1 to DENSE_MAX_K.
     """
     _require_beta(beta)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _whole(k, "k")
+    if not 1 <= k <= DENSE_MAX_K:
+        raise ValueError(f"k must lie in 1..{DENSE_MAX_K}; got {k}")
     if anchor is None:
         anchor = make_anchor(beta)
     _check_anchor(anchor, beta)

@@ -403,10 +403,20 @@ GROUP_HELP = run("--help").stdout
         (["generate", "weierstrass", "--n-p", "5", "--out", "x.csv"], 1, "", "input error:"),
         (["predict-dim", "--spec", "[5]"], 1, "", "input error:"),
         (["extend", "--domain", "[1]", "--beta", "1.5"], 1, "", "input error:"),
+        (["approximate", "--func", QUAD, "--beta", "nan", "--mode", "box", "--n", "4"], 1, "", "input error:"),
+        (["approximate", "--func", QUAD, "--beta", "inf", "--mode", "box", "--n", "4"], 1, "", "input error:"),
+        (["extend", "--domain", json.dumps(TestExtend.DOMAIN), "--beta", "nan"], 1, "", "input error:"),
+        # 2^40 + 1 doubles are 8 TiB: refused before sampling, or by the allocator
+        (["approximate", "--func", QUAD, "--beta", "1.5", "--mode", "dense", "--n", "40"], 1, "", "input error:"),
+        (["approximate", "--func", QUAD, "--beta", "1.5", "--mode", "derivative", "--n", "40"], 1, "",
+         "input error:"),
+        (["estimate-dim", "--func", '{"kind": "polynomial", "coeffs": [0, 1]}', "--m", str(2 ** 40)], 1, "",
+         "input error:"),
     ],
     ids=["bad-choice", "bad-type", "unknown-option", "missing-option", "missing-csv",
          "help", "command-help", "version", "bare", "abbreviated-option", "spec-not-an-object",
-         "domain-not-an-object"],
+         "domain-not-an-object", "nan-beta", "inf-beta", "extend-nan-beta", "dense-exponent-too-large",
+         "derivative-exponent-too-large", "unallocatable-resolution"],
 )
 def test_exit_code_contract(args, code, stdout_start, stderr_start):
     # README's table: 0 success, 1 malformed input, usage errors included

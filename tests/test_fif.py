@@ -263,23 +263,37 @@ class TestSolve:
         with pytest.raises(ValueError, match="resolution must be >= 1"):
             fd.solve_fixed_point(spec, m=m)
 
-    def test_convergence_error_carries_residual(self):
-        spec = fd.make_affine_spec([0, 0.3, 1], [0.0, 1.0, 0.0], [0.95, 0.95])
-        with pytest.raises(ConvergenceError) as exc:
-            # budget too small for the tolerance at this contraction rate
-            fd.solve_fixed_point(spec, m=64, tol=1e-12, max_iterations=3)
-        assert exc.value.residual is not None
-        assert exc.value.residual > 1e-12
-        assert exc.value.iterations == 3
+    @staticmethod
+    def stalled_solve(monkeypatch, m):
+        """Solve the CLI's exit-3 spec at tol = 1e-300, counting the sweeps on the (m + 1)-node grid."""
+        # the iteration stalls at round-off, far above tol, and hits the contraction-rate cap
+        spec = fd.make_affine_spec([0, 0.3, 1], [0.1, -0.7, 0.4], [0.6, -0.6])
+        fine = []
+        step = fif_module._Sweep.step
 
-    def test_convergence_error_counts_fine_sweeps_after_coarse_start(self):
-        # m = 2^12 starts from the uncapped, uncounted solve at m / COARSE = 64
-        spec = fd.make_affine_spec([0, 0.3, 1], [0.0, 1.0, 0.0], [0.95, 0.95])
-        assert 2 ** 12 // fif_module.COARSE >= fif_module.COARSE_MIN
+        def counting_step(self, g, out):
+            fine.append(g.size == m + 1)
+            return step(self, g, out)
+
+        monkeypatch.setattr(fif_module._Sweep, "step", counting_step)
         with pytest.raises(ConvergenceError) as exc:
-            fd.solve_fixed_point(spec, m=2 ** 12, tol=1e-12, max_iterations=3)
-        assert exc.value.residual > 1e-12
-        assert exc.value.iterations == 3
+            fd.solve_fixed_point(spec, m=m, tol=1e-300)
+        return exc.value, sum(fine), len(fine)
+
+    def test_convergence_error_carries_residual(self, monkeypatch):
+        err, fine_sweeps, _ = self.stalled_solve(monkeypatch, 64)
+        assert err.residual is not None
+        assert err.residual > 1e-300
+        # every sweep but the residual's own is an iteration
+        assert err.iterations == fine_sweeps - 1
+
+    def test_convergence_error_counts_fine_sweeps_after_coarse_start(self, monkeypatch):
+        # m = 2^12 starts from the uncounted solve at m / COARSE = 64
+        assert 2 ** 12 // fif_module.COARSE >= fif_module.COARSE_MIN
+        err, fine_sweeps, all_sweeps = self.stalled_solve(monkeypatch, 2 ** 12)
+        assert err.residual > 1e-300
+        assert all_sweeps > fine_sweeps
+        assert err.iterations == fine_sweeps - 1
 
     @given(
         n=st.sampled_from([2, 3, 4]),

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import fracdim as fd
 from fracdim.errors import DomainError
+from fracdim.functions import _weierstrass_terms
 
 
 class TestEval:
@@ -43,6 +45,24 @@ class TestEval:
         w = fd.WeierstrassSeries(0.5, 3)
         tail = w.a ** (w.k_max + 1) / (1 - w.a)
         assert tail < 1e-12
+
+    def test_weierstrass_default_truncation_matches_search(self):
+        def search(a):
+            k = 0
+            while a ** (k + 1) / (1.0 - a) >= 1e-12:
+                k += 1
+            return k
+
+        grid = np.r_[np.linspace(0.001, 0.999, 999), 1e-300, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)]
+        for a in grid.tolist():
+            assert _weierstrass_terms(a) == search(a), a
+
+    def test_weierstrass_default_truncation_near_one_is_quick(self):
+        # K is about 5.5e13 there, so 3^K pi is not a finite double
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="k_max"):
+            fd.WeierstrassSeries(1.0 - 1e-12, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_weierstrass_validation(self):
         with pytest.raises(ValueError):
