@@ -208,7 +208,8 @@ def _parser(prog: str) -> _Parser:
                      f"derivative: exponent k of the 2^k + 1 sample knots, from 1 to {DENSE_MAX_K}")
     sub.add_argument("--m", type=int, help=f"solve/sample resolution [default: {DEFAULT_RESOLUTION}; hausdorff mode: "
                      f"the largest power of n up to {DEFAULT_RESOLUTION}, so the solve refines exactly]")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="stop once sup|T g - g| <= tol (iterative solves)")
     sub.add_argument("--nonneg", action="store_true", help="derivative mode: request a nonnegative primitive")
     sub.add_argument("--out", help="write approximant samples CSV here")
 
@@ -220,7 +221,8 @@ def _parser(prog: str) -> _Parser:
     sub.add_argument("--spec", help="FifSpec JSON or path (fif/chaos)")
     sub.add_argument("--m", type=int, default=DEFAULT_RESOLUTION, help="sampling resolution")
     sub.add_argument("--n-points", type=int, default=10 ** 5, help="chaos-game points")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixed-point tolerance")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                     help="stop once sup|T g - g| <= tol (iterative solves)")
     sub.add_argument("--seed", type=int, default=42, help="chaos-game seed")
     sub.add_argument("--out", required=True, help="write samples CSV here")
 

@@ -9,8 +9,7 @@ is a grid node, and the fixed point follows level by level from the
 self-referential equation (N-adic refinement).  Otherwise the operator is
 iterated with linear interpolation at branch pre-images, in place in two
 buffers, from the fixed point on a grid 64 times coarser when m allows it
-(from the broken line otherwise); the reported iteration count covers the
-sweeps on the m-interval grid only.
+(from the broken line otherwise), until an iterate's residual is <= tol.
 
 The part of branch i that does not depend on the iterate, lin_i(u) =
 seed(x_{i-1} + a_i u) - alpha_i base(u) (c_i u + d_i for affine branches),
@@ -297,10 +296,10 @@ def _refinement_depth(spec: FifSpec, m: int) -> int | None:
 def _settle_end(lin_end: float, a: float, y: float) -> float:
     """Fixed point of the endpoint equation f = lin_end + a f.
 
-    Iterated from the interpolation ordinate y, as grid iteration does, so
-    both paths land on the same floating-point value; a start that has not
-    settled after 64 steps is replaced by the closed form, which need not
-    satisfy the equation bit for bit.  N-adic refinement holds both ends at
+    Iterated from the interpolation ordinate y until it settles: a settled
+    end satisfies its equation bit for bit, so the refined residual is 0.0.
+    A start that has not settled after 64 steps is replaced by the closed
+    form, which need not.  N-adic refinement holds both ends at
     these values, so such an end shows in the residual as its own
     equation's error and nowhere else.
     """
@@ -396,28 +395,22 @@ def _refine(spec: FifSpec, m: int, depth: int):
     return g, float(residual)
 
 
-def _iterate(sweep: _Sweep, g: np.ndarray, s: float, tol: float):
-    """Sweep from g until sup|g_{k+1} - g_k| <= tol (1 - s) / s, or to the cap.
+def _iterate(sweep: _Sweep, g: np.ndarray, tol: float):
+    """Sweep from g until the iterate's residual sup|T g - g| is <= tol or does not fall.
 
-    Two buffers take turns as iterate and output, so no sweep allocates.
-    Returns the last iterate, the spare buffer, the number of sweeps, and
-    whether the stopping rule was met.
+    Each sweep measures the current iterate's residual; in exact arithmetic
+    it is at most max|alpha_i| times the one before, so one that does not
+    fall is the rounding floor.  Two buffers take turns, so no sweep allocates.  Returns
+    the iterate, the sweeps applied to reach it, and its residual.
     """
     out = np.empty_like(g)
-    d = sweep.step(g, out)
-    g, out = out, g
-    iterations = 1
-    if s > 0.0 and d > 0.0:
-        target = tol * (1.0 - s) / s
-        if d > target:
-            cap = math.ceil(math.log(target / d) / math.log(s)) + 8
-            while d > target:
-                if iterations >= cap:
-                    return g, out, iterations, False
-                d = sweep.step(g, out)
-                g, out = out, g
-                iterations += 1
-    return g, out, iterations, True
+    iterations, last = 0, math.inf
+    while True:
+        residual = sweep.step(g, out)
+        if residual <= tol or not residual < last:  # a NaN residual stops too
+            return g, iterations, residual
+        g, out, last = out, g, residual
+        iterations += 1
 
 
 # the iteration starts from the fixed point on m / COARSE intervals when
@@ -426,20 +419,20 @@ COARSE = 64
 COARSE_MIN = 16
 
 
-def _start(spec: FifSpec, xs, u, al, lin, s: float, tol: float) -> np.ndarray:
+def _start(spec: FifSpec, xs, u, al, lin, tol: float) -> np.ndarray:
     """Start of the iteration on the nodes xs: a coarse solve, or the broken line.
 
     The coarse solve runs on every COARSE-th node of the fine arrays, so it
     evaluates no branch function again; it starts the same way and is
     interpolated linearly onto xs as a GridFunction on its nodes.  It never
-    raises: if the contraction-rate cap stops it, its last iterate is the start.
+    raises: if it stalls above tol, its last iterate is the start.
     """
     m = xs.size - 1
     if m % COARSE or m // COARSE < COARSE_MIN:
         return GridFunction.on_knots(spec.partition.knots, spec.ys)._eval(xs)
     xs_c, u_c, al_c, lin_c = (a[::COARSE] for a in (xs, u, al, lin))
-    g_c = _start(spec, xs_c, u_c, al_c, lin_c, s, tol)
-    g_c = _iterate(_Sweep(u_c, al_c, lin_c), g_c, s, tol)[0]
+    g_c = _start(spec, xs_c, u_c, al_c, lin_c, tol)
+    g_c = _iterate(_Sweep(u_c, al_c, lin_c), g_c, tol)[0]
     return GridFunction.on_knots(xs_c, g_c)._eval(xs)
 
 
@@ -458,18 +451,16 @@ def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = D
     when both end values satisfy their equations bit for bit, a few ulps
     otherwise (see _refine).  tol does not apply on this path.
 
-    Otherwise the operator is iterated.  When COARSE = 64 divides m and
-    m / 64 >= 16, the iteration starts from the fixed point on m / 64
-    intervals (solved the same way on every 64th node, so 2^16 starts from
-    2^10, which starts from 2^4), interpolated linearly; any other m starts
-    from the broken-line interpolant.  The stopping rule converts
-    successive-iterate distance to a residual bound via the contraction
-    inequality: once sup|g_{k+1} - g_k| is below tol (1 - s) / s, the
-    self-referential residual of the final iterate is below tol.  The
-    budget is the contraction rate's estimate of the sweeps that needs,
-    plus 8; an iteration that stalls at the rounding floor above its target
-    raises ConvergenceError.  iterations counts the sweeps on the
-    m-interval grid only; the coarse solves are not counted.
+    Otherwise the operator is iterated, from the fixed point on m / 64
+    intervals when COARSE = 64 divides m and m / 64 >= 16 (solved the same
+    way on every 64th node, so 2^16 starts from 2^10, which starts from
+    2^4), interpolated linearly, and from the broken-line interpolant for
+    any other m.  It returns the first iterate whose residual sup|T g - g|
+    is <= tol: residual equals self_ref_residual of the returned grid, which
+    lies within tol / (1 - s) of the iteration's fixed point.  iterations
+    counts the sweeps applied on the m-interval grid to reach it, 0 when
+    the start meets tol.  A residual that does not fall below the one
+    before, the rounding floor above tol, raises ConvergenceError.
     A tol that is not positive and finite, or an m below 1, raises
     ValueError on both paths.
     """
@@ -482,13 +473,11 @@ def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = D
         g, residual = _refine(spec, m, depth)
         return FifFunction(m, g, spec=spec, residual=residual, iterations=depth)
     xs, u, al, lin = _make_applier(spec, m)
-    s = spec.contraction_factor
-    g = _start(spec, xs, u, al, lin, s, tol)
+    g = _start(spec, xs, u, al, lin, tol)
     sweep = _Sweep(u, al, lin)
     del xs, u, al  # the sweep holds what the fine sweeps read
-    g, spare, iterations, converged = _iterate(sweep, g, s, tol)
-    residual = sweep.step(g, spare)
-    if not converged:
+    g, iterations, residual = _iterate(sweep, g, tol)
+    if not residual <= tol:
         raise ConvergenceError(
             f"fixed-point iteration stalled at residual {residual:.3e}",
             residual=residual,

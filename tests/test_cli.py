@@ -451,9 +451,10 @@ def test_module_entry_point(args, code, stdout_start, stderr_start):
     assert res.stderr.startswith(stderr_start)
 
 
-@pytest.mark.parametrize("module", ["scipy", "click"])
+@pytest.mark.parametrize("module", ["scipy", "click", "mpmath", "hypothesis"])
 def test_import_leaves_scipy_out(module):
-    # scipy costs about a second of start-up for every command, click about 20 ms; keep both out
+    # scipy costs about a second of start-up for every command, click about 20 ms, and the
+    # test oracles mpmath and hypothesis about 30 and 170 ms; keep all of them out
     res = python("-c", f"import fracdim.cli, sys; print({module!r} in sys.modules)")
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"

@@ -187,7 +187,8 @@ class TestSolve:
     def test_zero_alpha_one_iteration(self):
         spec = fd.make_affine_spec([0, 0.5, 1], [0.0, 1.0, 0.0], [0.0, 0.0])
         fif = fd.solve_fixed_point(spec, m=256, tol=1e-12)
-        assert fif.iterations == 1
+        # the broken-line start is already the fixed point, so no sweep is applied
+        assert fif.iterations == 0
         assert fif.residual <= 1e-15
         assert fif(0.25) == pytest.approx(0.5)
 
@@ -266,7 +267,7 @@ class TestSolve:
     @staticmethod
     def stalled_solve(monkeypatch, m):
         """Solve the CLI's exit-3 spec at tol = 1e-300, counting the sweeps on the (m + 1)-node grid."""
-        # the iteration stalls at round-off, far above tol, and hits the contraction-rate cap
+        # the residual stops falling at round-off, far above tol, and the iteration stops there
         spec = fd.make_affine_spec([0, 0.3, 1], [0.1, -0.7, 0.4], [0.6, -0.6])
         fine = []
         step = fif_module._Sweep.step
@@ -275,8 +276,8 @@ class TestSolve:
             fine.append(g.size == m + 1)
             return step(self, g, out)
 
-        monkeypatch.setattr(fif_module._Sweep, "step", counting_step)
-        with pytest.raises(ConvergenceError) as exc:
+        with monkeypatch.context() as patch, pytest.raises(ConvergenceError) as exc:
+            patch.setattr(fif_module._Sweep, "step", counting_step)
             fd.solve_fixed_point(spec, m=m, tol=1e-300)
         return exc.value, sum(fine), len(fine)
 
@@ -284,16 +285,19 @@ class TestSolve:
         err, fine_sweeps, _ = self.stalled_solve(monkeypatch, 64)
         assert err.residual is not None
         assert err.residual > 1e-300
-        # every sweep but the residual's own is an iteration
+        # every sweep but the last, whose residual did not fall, is an iteration
         assert err.iterations == fine_sweeps - 1
 
     def test_convergence_error_counts_fine_sweeps_after_coarse_start(self, monkeypatch):
         # m = 2^12 starts from the uncounted solve at m / COARSE = 64
         assert 2 ** 12 // fif_module.COARSE >= fif_module.COARSE_MIN
-        err, fine_sweeps, all_sweeps = self.stalled_solve(monkeypatch, 2 ** 12)
-        assert err.residual > 1e-300
-        assert all_sweeps > fine_sweeps
-        assert err.iterations == fine_sweeps - 1
+        for m in (2 ** 12, 2 ** 16):
+            err, fine_sweeps, all_sweeps = self.stalled_solve(monkeypatch, m)
+            assert err.residual > 1e-300
+            assert all_sweeps > fine_sweeps
+            assert err.iterations == fine_sweeps - 1
+            # the residual stops falling near sweep 50
+            assert fine_sweeps <= 100
 
     @given(
         n=st.sampled_from([2, 3, 4]),
@@ -317,6 +321,7 @@ class TestSolve:
         tol = 1e-10
         fif = fd.solve_fixed_point(spec, m=m, tol=tol)
         assert fif.residual <= tol
+        assert fif.residual == fd.self_ref_residual(spec, fif)
         s = spec.contraction_factor
         assert np.max(np.abs(iterate_rb_apply(spec, m, 1e-14) - fif.grid.values)) <= 2 * tol / (1 - s)
 
