@@ -2,8 +2,11 @@
 
 One evaluator serves every order: Horner's rule in x/(1-x) (Schumaker and
 Volk 1986), O(n) per point.  Binomial coefficients are exact integers kept
-as mantissa/exponent pairs, and the accumulator is renormalised every 32
-coefficients, so orders in the thousands neither overflow nor underflow.
+as mantissa/exponent pairs.  Up to n = 974 every C(n, k) divided by
+C(n, n/2) is a normal double, so one Horner pass covers the whole
+polynomial.  Only above that, where the binomials leave the double range,
+is the accumulator renormalised every 32 coefficients, so orders in the
+thousands neither overflow nor underflow.
 The chord through the end coefficients is taken out first and added back
 exactly, which keeps affine data exact.  Exponents passed to np.ldexp are
 C ints (np.intc): the result is the same, and numpy's ldexp loop for int64
@@ -35,7 +38,11 @@ __all__ = [
 DEFAULT_MODULUS_GRID_T = 64
 DEFAULT_MODULUS_GRID_X = 4096
 _BLOCK = 32  # coefficients between renormalisations of the accumulator
+# largest exponent of 2 a binomial may have for one unrenormalised block: the
+# smallest scaled binomial, 2^-e, must stay normal with 53 bits to spare
+_ONE_BLOCK_EXP = -np.finfo(float).minexp - (np.finfo(float).nmant + 1)
 _CHUNK = 8192  # points per pass; keeps the Horner operands in cache
+_T_BLOCK = 4  # modulus steps t per evaluation of f; 8 push the temporaries out of L2
 
 
 @dataclass(eq=False)
@@ -85,16 +92,19 @@ def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_k a[k] C(n,k) y^k (1-y)^(n-k) for 0 <= y <= 1/2 and |a| <= 1.
 
     Horner's rule in t = y/(1-y) <= 1 over a[n], ..., a[0], times (1-y)^n
-    at the end.  Coefficients run in blocks of _BLOCK, each scaled by the
-    power of two of its largest binomial.  Between blocks the accumulator is
-    a mantissa in [1/2, 1) and a per-point exponent, so neither binomials of
-    size 2^n nor powers t^n leave the double range.
+    at the end.  Each block of coefficients is scaled by the power of two of
+    its largest binomial.  While C(n, n/2) has at most _ONE_BLOCK_EXP bits,
+    all n + 1 coefficients form one block.  Above that they run in blocks of
+    _BLOCK, and between blocks the accumulator is a mantissa in [1/2, 1) and
+    a per-point exponent, so neither binomials of size 2^n nor powers t^n
+    leave the double range.
     """
     n = a.size - 1
     mant, expo = _binomials(n)
+    size = n + 1 if expo[n // 2] <= _ONE_BLOCK_EXP else _BLOCK
     blocks = []  # (exponent, scaled coefficients from high index to low)
-    for lo in range(n - n % _BLOCK, -1, -_BLOCK):
-        hi = min(lo + _BLOCK, n + 1)
+    for lo in range(n - n % size, -1, -size):
+        hi = min(lo + size, n + 1)
         e = int(expo[lo:hi].max())
         scaled = a[lo:hi] * np.ldexp(mant[lo:hi], expo[lo:hi] - e)
         blocks.append((e, scaled[::-1].tolist()))
@@ -216,7 +226,9 @@ def modulus_smoothness(
     Discretized sup over t in {0, delta/grid_t, ..., delta} and x on a
     uniform grid, restricted to x where both shifted arguments stay inside
     [0, 1]; a lower bound on the true modulus.  Endpoints x = 0, 1 are
-    admissible (the weight vanishes there, contributing 0).
+    admissible (the weight vanishes there, contributing 0).  f is evaluated
+    once per block of _T_BLOCK steps t, on the points x - t phi(x) and
+    x + t phi(x) of every step in the block stacked together.
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be finite and nonnegative")
@@ -229,15 +241,16 @@ def modulus_smoothness(
     two_fx = 2.0 * f._eval(xs)
     best = 0.0
     # t = 0 gives f(x) - 2 f(x) + f(x) = 0 exactly
-    for t in np.linspace(0.0, delta, grid_t + 1)[1:]:
-        lo = xs - t * phi
-        hi = xs + t * phi
-        ok = (lo >= -1e-12) & (hi <= 1.0 + 1e-12)
+    steps = np.linspace(0.0, delta, grid_t + 1)[1:, None]
+    for start in range(0, grid_t, _T_BLOCK):
+        t = steps[start : start + _T_BLOCK]
+        shift = t * phi
+        pts = np.concatenate([xs - shift, xs + shift])  # rows: every lo, then every hi
+        ok = (pts[: len(t)] >= -1e-12) & (pts[len(t) :] <= 1.0 + 1e-12)
         # every point is evaluated and the sup is taken over the admissible
         # ones, which gives the same maximum as gathering them first
-        f_lo = f._eval(np.clip(lo, 0.0, 1.0, out=lo))
-        f_hi = f._eval(np.clip(hi, 0.0, 1.0, out=hi))
-        second = np.abs(f_lo - two_fx + f_hi)
+        vals = f._eval(np.clip(pts, 0.0, 1.0, out=pts).ravel()).reshape(pts.shape)
+        second = np.abs(vals[: len(t)] - two_fx + vals[len(t) :])
         best = max(best, float(second.max(where=ok, initial=0.0)))
     return best
 

@@ -87,7 +87,15 @@ class Polynomial(Func):
         self.coeffs = coeffs
 
     def _eval(self, x):
-        return np.polynomial.polynomial.polyval(x, self.coeffs)
+        # Horner's rule in place, in polyval's order: c[-1] + x*0 starts it
+        # (so -0.0 and +0.0 come out as polyval gives them), then
+        # c[k] + out*x for each lower k
+        out = x * 0.0
+        out += self.coeffs[-1]
+        for c in self.coeffs[-2::-1]:
+            out *= x
+            out += c
+        return out
 
 
 def _whole(value, name: str) -> int:

@@ -146,14 +146,15 @@ def dim_preserving_sequence(
 
     p_n = BernsteinFunc(bernstein_build(f, n))
     b_n = BernsteinFunc(bernstein_build(p_n, n))
-    report = predict_box_dim(DataSet(part.knots, p_n._eval(part.knots)), alpha)
+    ys = p_n._eval(part.knots)
+    report = predict_box_dim(DataSet(part.knots, ys), alpha)
     if report.predicted is None:
         raise CollinearDataError(
             "Bernstein samples at the partition knots are collinear; "
             "choose a different partition (or perturb the data as in the "
             "Hausdorff pipeline)"
         )
-    spec = make_alpha_fractal_spec(part, alpha, seed=p_n, base=b_n)
+    spec = make_alpha_fractal_spec(part, alpha, seed=p_n, base=b_n, ys=ys)
     fif = solve_fixed_point(spec, m=m, tol=tol)
     return BoxApproximant(
         fif=fif, report=report, order=n, alpha=alpha_val, seed=p_n, base=b_n

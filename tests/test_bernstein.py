@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdim as fd
-from fracdim.bernstein import BernsteinFunc, _bezier_value, _restrict
+from fracdim.bernstein import _ONE_BLOCK_EXP, BernsteinFunc, _bezier_value, _binomials, _restrict
 
 # points where t = x/(1-x), its mirror or the final (1-x)^n scaling are
 # most delicate: subnormal and tiny x, both sides of 1/2, the ends
@@ -20,6 +21,31 @@ def basis_sum(samples, x):
         samples[k] * math.comb(n, k) * x ** k * (1 - x) ** (n - k)
         for k in range(n + 1)
     )
+
+
+def mp_bernstein(samples, x):
+    """Independent oracle: the binomial-weight sum in 50-digit arithmetic."""
+    n = len(samples) - 1
+    with mpmath.workdps(50):
+        x = mpmath.mpf(float(x))
+        total = mpmath.fsum(
+            mpmath.mpf(float(c)) * mpmath.binomial(n, k) * x ** k * (1 - x) ** (n - k)
+            for k, c in enumerate(samples)
+        )
+        return float(total)
+
+
+def largest_one_block_order():
+    """Largest n whose binomials, divided by C(n, n/2), are all normal doubles with 53 bits to spare."""
+    fi = np.finfo(float)
+    bits = -fi.minexp - (fi.nmant + 1)
+    n = 1
+    while math.comb(n + 1, (n + 1) // 2).bit_length() <= bits:
+        n += 1
+    return n
+
+
+ONE_BLOCK_MAX = largest_one_block_order()
 
 
 def de_casteljau(samples, x):
@@ -101,6 +127,21 @@ class TestEval:
         slack = 1e-12 * max(np.max(np.abs(samples)), 1.0)
         assert np.all(vals >= samples.min() - slack)
         assert np.all(vals <= samples.max() + slack)
+
+    def test_one_block_boundary_is_the_evaluators(self):
+        # the orders below are on both sides of the switch to renormalised blocks
+        assert ONE_BLOCK_MAX == 974
+        assert _binomials(ONE_BLOCK_MAX)[1][ONE_BLOCK_MAX // 2] <= _ONE_BLOCK_EXP
+        assert _binomials(ONE_BLOCK_MAX + 1)[1][(ONE_BLOCK_MAX + 1) // 2] > _ONE_BLOCK_EXP
+
+    @pytest.mark.parametrize("n", [32, 128, 600, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1])
+    def test_matches_mpmath_oracle(self, n):
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n + 1)
+        xs = np.concatenate([rng.random(16 - len(EDGE_POINTS)), EDGE_POINTS])
+        vals = fd.bernstein_eval(fd.BernsteinPoly(n, samples), xs)
+        want = np.array([mp_bernstein(samples, x) for x in xs])
+        assert np.max(np.abs(vals - want)) <= 4e-14 * np.max(np.abs(samples))
 
     @pytest.mark.parametrize("n", [4, 100, 600])
     def test_quadratic_identity(self, n):

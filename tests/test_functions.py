@@ -29,6 +29,18 @@ class TestEval:
         assert fd.Polynomial(coeffs)(0.5) == pytest.approx(expected, abs=1e-15)
         assert expected == 0.25
 
+    @given(
+        coeffs=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=9),
+        xs=st.lists(st.floats(0.0, 1.0), max_size=16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eval_equals_polyval_bitwise(self, coeffs, xs):
+        # the in-place Horner loop keeps polyval's operation order, signed zeros included
+        x = np.array([0.0, 1.0, 5e-324] + xs)
+        got = fd.Polynomial(coeffs)._eval(x)
+        want = np.polynomial.polynomial.polyval(x, np.array(coeffs))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             fd.Polynomial([0, 1])(1.5)
