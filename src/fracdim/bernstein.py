@@ -4,20 +4,25 @@ One evaluator serves every order: Horner's rule in x/(1-x) (Schumaker and
 Volk 1986), O(n) per point.  Binomial coefficients are exact integers kept
 as mantissa/exponent pairs.  Up to n = 974 every C(n, k) divided by
 C(n, n/2) is a normal double, so one Horner pass covers the whole
-polynomial.  Only above that, where the binomials leave the double range,
-is the accumulator renormalised every 32 coefficients, so orders in the
-thousands neither overflow nor underflow.
-The chord through the end coefficients is taken out first and added back
-exactly, which keeps affine data exact.  Exponents passed to np.ldexp are
-C ints (np.intc): the result is the same, and numpy's ldexp loop for int64
-exponents is about ten times slower.  `_restrict` re-expresses a
-polynomial on a subinterval by de Casteljau subdivision, so p(a + (b - a) u)
-is again one set of Bernstein coefficients in u.
+polynomial and each point ends as p * 2^e * (1-x)^n, with an exact scalar
+2^e and one np.power.  Only above that, where the binomials leave the
+double range, is the accumulator renormalised every 32 coefficients and
+(1-x)^n applied in the log domain, so orders in the thousands neither
+overflow nor underflow; exponents there are passed to np.ldexp as C ints
+(np.intc), because numpy's ldexp loop for int64 exponents is about ten
+times slower.  The chord through the end coefficients is taken out first
+and added back exactly, which keeps affine data exact.  Points run in
+chunks of 8192: a chunk wholly on one side of 1/2 is evaluated on its
+slice, and only a chunk with points on both sides is split by masks, so
+sorted points are gathered and scattered only around 1/2.  `_restrict`
+re-expresses a polynomial on a subinterval by de Casteljau subdivision, so
+p(a + (b - a) u) is again one set of Bernstein coefficients in u.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +93,20 @@ def _binomials(n: int) -> tuple[np.ndarray, np.ndarray]:
     return mant, expo
 
 
-def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k a[k] C(n,k) y^k (1-y)^(n-k) for 0 <= y <= 1/2 and |a| <= 1.
+def _half_sum(a: np.ndarray):
+    """h(y) = sum_k a[k] C(n,k) y^k (1-y)^(n-k) for arrays y in [0, 1/2], with |a| <= 1.
 
     Horner's rule in t = y/(1-y) <= 1 over a[n], ..., a[0], times (1-y)^n
     at the end.  Each block of coefficients is scaled by the power of two of
     its largest binomial.  While C(n, n/2) has at most _ONE_BLOCK_EXP bits,
-    all n + 1 coefficients form one block.  Above that they run in blocks of
-    _BLOCK, and between blocks the accumulator is a mantissa in [1/2, 1) and
-    a per-point exponent, so neither binomials of size 2^n nor powers t^n
-    leave the double range.
+    all n + 1 coefficients form one block, the Horner sum p is at most n + 1
+    in size, and each point ends as p * 2^e * (1-y)^n: 2^e is an exact
+    scalar and (1-y)^n one np.power, at least 2^-974.  Above that the
+    coefficients run in blocks of _BLOCK; between blocks the accumulator is
+    a mantissa in [1/2, 1) and a per-point exponent, and the factor (1-y)^n
+    is applied in the log domain, so neither binomials of size 2^n nor
+    powers t^n leave the double range.  Every operation is elementwise, so
+    a point's value does not depend on the other points in y.
     """
     n = a.size - 1
     mant, expo = _binomials(n)
@@ -108,21 +117,39 @@ def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
         e = int(expo[lo:hi].max())
         scaled = a[lo:hi] * np.ldexp(mant[lo:hi], expo[lo:hi] - e)
         blocks.append((e, scaled[::-1].tolist()))
-    out = np.empty_like(y)
-    for start in range(0, y.size, _CHUNK):
-        ys = y[start : start + _CHUNK]
-        t = ys / (1.0 - ys)
-        if len(blocks) > 1:
-            t_mant, t_exp = np.frexp(t)
-            # t^_BLOCK as a mantissa >= 2^-_BLOCK and an exponent: no underflow
-            carry_mant = t_mant ** _BLOCK
-            carry_exp = _BLOCK * t_exp
+
+    def horner(coeffs: list, t: np.ndarray) -> np.ndarray:
+        if len(coeffs) == 1:
+            return np.full(t.shape, coeffs[0])
+        p = coeffs[0] * t
+        p += coeffs[1]
+        for ck in coeffs[2:]:
+            p *= t
+            p += ck
+        return p
+
+    if len(blocks) == 1:
+        e, coeffs = blocks[0]
+        two_e = math.ldexp(1.0, e)
+
+        def h(y: np.ndarray) -> np.ndarray:
+            w = 1.0 - y
+            p = horner(coeffs, y / w)
+            p *= two_e
+            p *= np.power(w, n, out=w)
+            return p
+
+        return h
+
+    def h(y: np.ndarray) -> np.ndarray:
+        t = y / (1.0 - y)
+        t_mant, t_exp = np.frexp(t)
+        # t^_BLOCK as a mantissa >= 2^-_BLOCK and an exponent: no underflow
+        carry_mant = t_mant ** _BLOCK
+        carry_exp = _BLOCK * t_exp
         acc = exp = None
         for e, coeffs in blocks:
-            p = np.full_like(ys, coeffs[0])
-            for ck in coeffs[1:]:
-                p *= t
-                p += ck
+            p = horner(coeffs, t)
             if acc is not None:  # acc * t^_BLOCK + p, at the larger exponent
                 prev = exp + carry_exp
                 top = np.maximum(prev, e)
@@ -130,12 +157,11 @@ def _lower_half(a: np.ndarray, y: np.ndarray) -> np.ndarray:
                 e = top
             acc, shift = np.frexp(p)
             exp = e + shift
-        log2_scale = exp + n * np.log2(1.0 - ys)
+        log2_scale = exp + n * np.log2(1.0 - y)
         whole = np.floor(log2_scale)
-        out[start : start + _CHUNK] = np.ldexp(
-            acc * np.exp2(log2_scale - whole), whole.astype(np.intc)
-        )
-    return out
+        return np.ldexp(acc * np.exp2(log2_scale - whole), whole.astype(np.intc))
+
+    return h
 
 
 def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
@@ -144,7 +170,11 @@ def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
     B_n reproduces the chord l(x) = c_0 + (c_n - c_0) x exactly, so only the
     remainder c_k - l(k/n) goes through the Horner sum; affine coefficients
     come back as l itself.  Points above 1/2 use the mirror identity
-    B_n(c)(x) = B_n(reversed c)(1 - x), which keeps t <= 1.
+    B_n(c)(x) = B_n(reversed c)(1 - x), which keeps t <= 1.  The points run
+    in chunks of _CHUNK: a chunk wholly on one side of 1/2 is evaluated on
+    its slice, and only a chunk with points on both sides is split by masks.
+    Each point goes through the same operations on every path, so its value
+    does not depend on the order of the points.
     """
     x = np.asarray(x, dtype=float)
     n = coeffs.size - 1
@@ -155,10 +185,20 @@ def _bezier_value(coeffs: np.ndarray, x) -> np.ndarray:
     if scale == 0.0:
         return out
     rest /= scale
-    low = x <= 0.5
-    out[low] += scale * _lower_half(rest, x[low])
-    high = ~low
-    out[high] += scale * _lower_half(rest[::-1], 1.0 - x[high])
+    lower, upper = _half_sum(rest), _half_sum(rest[::-1])
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_x.size, _CHUNK):
+        xs = flat_x[start : start + _CHUNK]
+        o = flat_out[start : start + _CHUNK]
+        low = xs <= 0.5
+        if low.all():
+            o += scale * lower(xs)
+        elif not low.any():
+            o += scale * upper(1.0 - xs)
+        else:
+            o[low] += scale * lower(xs[low])
+            high = ~low
+            o[high] += scale * upper(1.0 - xs[high])
     return out
 
 
@@ -228,7 +268,9 @@ def modulus_smoothness(
     [0, 1]; a lower bound on the true modulus.  Endpoints x = 0, 1 are
     admissible (the weight vanishes there, contributing 0).  f is evaluated
     once per block of _T_BLOCK steps t, on the points x - t phi(x) and
-    x + t phi(x) of every step in the block stacked together.
+    x + t phi(x) of every step in the block stacked together.  The points,
+    the mask and the second differences of a block are written into buffers
+    allocated once per call.
     """
     if not 0.0 <= delta < np.inf:
         raise ValueError("delta must be finite and nonnegative")
@@ -242,16 +284,26 @@ def modulus_smoothness(
     best = 0.0
     # t = 0 gives f(x) - 2 f(x) + f(x) = 0 exactly
     steps = np.linspace(0.0, delta, grid_t + 1)[1:, None]
+    rows = min(_T_BLOCK, grid_t)
+    pts_buf = np.empty((2 * rows, xs.size))
+    shift_buf, second_buf = np.empty((rows, xs.size)), np.empty((rows, xs.size))
+    ok_buf, hi_ok_buf = np.empty((rows, xs.size), bool), np.empty((rows, xs.size), bool)
     for start in range(0, grid_t, _T_BLOCK):
         t = steps[start : start + _T_BLOCK]
-        shift = t * phi
-        pts = np.concatenate([xs - shift, xs + shift])  # rows: every lo, then every hi
-        ok = (pts[: len(t)] >= -1e-12) & (pts[len(t) :] <= 1.0 + 1e-12)
+        k = len(t)
+        shift, second, ok, hi_ok = shift_buf[:k], second_buf[:k], ok_buf[:k], hi_ok_buf[:k]
+        pts = pts_buf[: 2 * k]  # rows: every lo, then every hi
+        np.multiply(t, phi, out=shift)
+        np.subtract(xs, shift, out=pts[:k])
+        np.add(xs, shift, out=pts[k:])
+        np.greater_equal(pts[:k], -1e-12, out=ok)
+        ok &= np.less_equal(pts[k:], 1.0 + 1e-12, out=hi_ok)
         # every point is evaluated and the sup is taken over the admissible
         # ones, which gives the same maximum as gathering them first
         vals = f._eval(np.clip(pts, 0.0, 1.0, out=pts).ravel()).reshape(pts.shape)
-        second = np.abs(vals[: len(t)] - two_fx + vals[len(t) :])
-        best = max(best, float(second.max(where=ok, initial=0.0)))
+        np.subtract(vals[:k], two_fx, out=second)
+        second += vals[k:]
+        best = max(best, float(np.abs(second, out=second).max(where=ok, initial=0.0)))
     return best
 
 

@@ -1,10 +1,10 @@
 """Closed-form graph-dimension predictors and empirical box counting.
 
-The predictor solves sum |alpha_i| a_i^(D-1) = 1 by bisection; the left side
-is strictly decreasing in D on [1, 2] because every interval length a_i is
-below one, and it brackets 1 there whenever sum |alpha_i| > 1.  The
-empirical side counts mesh cells met by the sampled graph and regresses
-log2 counts against the scale exponent.
+The predictor solves sum |alpha_i| a_i^(D-1) = 1 by Newton's method kept
+inside a bisection bracket; the left side is strictly decreasing in D on
+[1, 2] because every interval length a_i is below one, and it brackets 1
+there whenever sum |alpha_i| > 1.  The empirical side counts mesh cells met
+by the sampled graph and regresses log2 counts against the scale exponent.
 """
 
 from __future__ import annotations
@@ -120,7 +120,14 @@ def _scale_factors(alpha) -> np.ndarray:
 
 
 def dimension_equation_root(lengths, alpha) -> float:
-    """Unique D in (1, 2) solving sum |alpha_i| a_i^(D-1) = 1, by bisection."""
+    """Unique D in (1, 2) solving sum |alpha_i| a_i^(D-1) = 1, by safeguarded Newton.
+
+    phi(D) = sum |alpha_i| a_i^(D-1) is decreasing and convex, so after the
+    first step Newton's iterates approach the root from below.  The bracket
+    [lo, hi], from [1, 2], shrinks to each iterate's side of the root, and
+    a Newton step that would leave it is replaced by the bracket's midpoint.
+    Stops once |phi(D) - 1| <= ROOT_RESIDUAL_TOL, from D = 1.5.
+    """
     lengths = np.asarray(lengths, dtype=float)
     alpha = np.abs(_scale_factors(alpha))
     if lengths.shape != alpha.shape:
@@ -131,22 +138,22 @@ def dimension_equation_root(lengths, alpha) -> float:
         raise ValueError("interval lengths must sum to 1")
     if alpha.sum() <= 1.0:
         raise HypothesisError("sum |alpha_i| must exceed 1 (otherwise the dimension is 1)")
-
-    def phi(d):
-        return float(np.sum(alpha * lengths ** (d - 1.0)))
-
+    log_lengths = np.log(lengths)
     lo, hi = 1.0, 2.0
-    mid = 1.5
+    d = 1.5
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        res = phi(mid) - 1.0
+        terms = alpha * lengths ** (d - 1.0)
+        res = float(terms.sum()) - 1.0
         if abs(res) <= ROOT_RESIDUAL_TOL:
-            return mid
-        if res > 0:  # phi decreasing: still above 1 means root lies right
-            lo = mid
+            break
+        if res > 0:  # phi decreasing: still above 1 means the root lies right
+            lo = d
         else:
-            hi = mid
-    return mid
+            hi = d
+        d -= res / float(terms @ log_lengths)
+        if not lo < d < hi:
+            d = 0.5 * (lo + hi)
+    return d
 
 
 def _branch_scales(data: DataSet, alpha) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ are N >= 2 equal intervals and m = N^k, every branch pre-image of a grid node
 is a grid node, and the fixed point follows level by level from the
 self-referential equation (N-adic refinement).  Otherwise the operator is
 iterated with linear interpolation at branch pre-images, in place in two
-buffers, from the fixed point on a grid 64 times coarser when m allows it
-(from the broken line otherwise), until an iterate's residual is <= tol.
+buffers, until an iterate's residual is <= tol.  It starts from the fixed
+point on a grid 64 times coarser when m allows it, itself iterated from the
+broken line, and from the broken line otherwise.
 
 The part of branch i that does not depend on the iterate, lin_i(u) =
 seed(x_{i-1} + a_i u) - alpha_i base(u) (c_i u + d_i for affine branches),
@@ -420,19 +421,20 @@ COARSE_MIN = 16
 
 
 def _start(spec: FifSpec, xs, u, al, lin, tol: float) -> np.ndarray:
-    """Start of the iteration on the nodes xs: a coarse solve, or the broken line.
+    """Start of the iteration on the nodes xs: one coarse solve, or the broken line.
 
     The coarse solve runs on every COARSE-th node of the fine arrays, so it
-    evaluates no branch function again; it starts the same way and is
-    interpolated linearly onto xs as a GridFunction on its nodes.  It never
-    raises: if it stalls above tol, its last iterate is the start.
+    evaluates no branch function again.  It iterates from the broken line
+    until its residual is <= tol and is interpolated linearly onto xs as a
+    GridFunction on its nodes.  It never raises: if it stalls above tol, its
+    last iterate is the start.
     """
     m = xs.size - 1
+    broken_line = GridFunction.on_knots(spec.partition.knots, spec.ys)
     if m % COARSE or m // COARSE < COARSE_MIN:
-        return GridFunction.on_knots(spec.partition.knots, spec.ys)._eval(xs)
+        return broken_line._eval(xs)
     xs_c, u_c, al_c, lin_c = (a[::COARSE] for a in (xs, u, al, lin))
-    g_c = _start(spec, xs_c, u_c, al_c, lin_c, tol)
-    g_c = _iterate(_Sweep(u_c, al_c, lin_c), g_c, tol)[0]
+    g_c = _iterate(_Sweep(u_c, al_c, lin_c), broken_line._eval(xs_c), tol)[0]
     return GridFunction.on_knots(xs_c, g_c)._eval(xs)
 
 
@@ -452,10 +454,10 @@ def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = D
     otherwise (see _refine).  tol does not apply on this path.
 
     Otherwise the operator is iterated, from the fixed point on m / 64
-    intervals when COARSE = 64 divides m and m / 64 >= 16 (solved the same
-    way on every 64th node, so 2^16 starts from 2^10, which starts from
-    2^4), interpolated linearly, and from the broken-line interpolant for
-    any other m.  It returns the first iterate whose residual sup|T g - g|
+    intervals when COARSE = 64 divides m and m / 64 >= 16 (iterated to tol
+    on every 64th node from the broken line, so 2^16 starts from 2^10),
+    interpolated linearly, and from the broken-line interpolant for any
+    other m.  It returns the first iterate whose residual sup|T g - g|
     is <= tol: residual equals self_ref_residual of the returned grid, which
     lies within tol / (1 - s) of the iteration's fixed point.  iterations
     counts the sweeps applied on the m-interval grid to reach it, 0 when

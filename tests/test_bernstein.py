@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracdim as fd
-from fracdim.bernstein import _ONE_BLOCK_EXP, BernsteinFunc, _bezier_value, _binomials, _restrict
+from fracdim.bernstein import _CHUNK, _ONE_BLOCK_EXP, BernsteinFunc, _bezier_value, _binomials, _restrict
 
 # points where t = x/(1-x), its mirror or the final (1-x)^n scaling are
 # most delicate: subnormal and tiny x, both sides of 1/2, the ends
 EDGE_POINTS = [0.0, 5e-324, 1e-300, 0.5 - 1e-16, 0.5 + 1e-16, 1.0 - 1e-16, 1.0]
+# points that decide on which side of 1/2 a point, and so its chunk, falls
+SPLIT_POINTS = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0]
 
 
 def basis_sum(samples, x):
@@ -142,6 +144,39 @@ class TestEval:
         vals = fd.bernstein_eval(fd.BernsteinPoly(n, samples), xs)
         want = np.array([mp_bernstein(samples, x) for x in xs])
         assert np.max(np.abs(vals - want)) <= 4e-14 * np.max(np.abs(samples))
+
+    @pytest.mark.parametrize("n", [32, 128, 600, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1])
+    def test_sorted_grid_matches_mpmath_oracle(self, n):
+        # three chunks of sorted points: the first lies wholly below 1/2 and
+        # the last wholly above, so both run on slices, not through masks
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal(n + 1)
+        xs = np.sort(np.concatenate([rng.random(3 * _CHUNK - len(EDGE_POINTS)), EDGE_POINTS]))
+        assert xs[_CHUNK - 1] <= 0.5 < xs[2 * _CHUNK]
+        vals = fd.bernstein_eval(fd.BernsteinPoly(n, samples), xs)
+        idx = np.concatenate([[0], rng.choice(_CHUNK, 7), 2 * _CHUNK + rng.choice(_CHUNK, 7), [xs.size - 1]])
+        want = np.array([mp_bernstein(samples, x) for x in xs[idx]])
+        assert np.max(np.abs(vals[idx] - want)) <= 4e-14 * np.max(np.abs(samples))
+
+    @given(
+        n=st.sampled_from([1, 8, 32, ONE_BLOCK_MAX, ONE_BLOCK_MAX + 1]),
+        size=st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1]),
+        span=st.sampled_from([(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)]),
+        split=st.sets(st.sampled_from(SPLIT_POINTS)),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_value_does_not_depend_on_point_order(self, n, size, span, split, seed):
+        # sorted points give one-sided chunks that run on slices, reversed ones
+        # (a negative-stride view) shift the chunk bounds, shuffled ones mix
+        # both sides of 1/2 in every chunk; each point's double is the same
+        rng = np.random.default_rng(seed)
+        p = fd.BernsteinPoly(n, rng.standard_normal(n + 1))
+        xs = np.sort(np.concatenate([rng.uniform(*span, size - len(split)), sorted(split)]))
+        perm = rng.permutation(size)
+        want = fd.bernstein_eval(p, xs).view(np.int64)
+        assert np.array_equal(fd.bernstein_eval(p, xs[::-1]).view(np.int64)[::-1], want)
+        assert np.array_equal(fd.bernstein_eval(p, xs[perm]).view(np.int64), want[perm])
 
     @pytest.mark.parametrize("n", [4, 100, 600])
     def test_quadratic_identity(self, n):

@@ -1,10 +1,14 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fracdim as fd
+from fracdim.dimension import ROOT_RESIDUAL_TOL
 from fracdim.errors import DegenerateDenominatorError, HypothesisError, ScaleError
 
 
@@ -62,6 +66,27 @@ class TestRoot:
         got = fd.dimension_equation_root([0.25, 0.75], [0.9, 0.9])
         assert got == pytest.approx(expected, abs=1e-10)
         assert abs(0.9 * (0.25 ** (got - 1) + 0.75 ** (got - 1)) - 1.0) <= 1e-12
+
+    @given(
+        weights=st.lists(st.floats(1.0, 4.0), min_size=2, max_size=8),
+        scales=st.lists(st.floats(0.05, 0.99), min_size=8, max_size=8),
+        signs=st.lists(st.booleans(), min_size=8, max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath_root(self, weights, scales, signs):
+        # every length is at most 4/5, so |phi'| >= |log 0.8| > 0.22 near the
+        # root and a residual <= ROOT_RESIDUAL_TOL puts D within 5e-13 of it
+        lengths = np.array(weights) / sum(weights)
+        alpha = np.where(signs, 1.0, -1.0)[: lengths.size] * scales[: lengths.size]
+        assume(np.abs(alpha).sum() > 1.0 + 1e-6)
+        d = fd.dimension_equation_root(lengths, alpha)
+        assert 1.0 < d < 2.0
+        assert abs(np.sum(np.abs(alpha) * lengths ** (d - 1.0)) - 1.0) <= ROOT_RESIDUAL_TOL
+        with mpmath.workdps(40):
+            terms = [(mpmath.mpf(abs(float(a))), mpmath.mpf(float(x))) for a, x in zip(alpha, lengths)]
+            want = mpmath.findroot(lambda t: mpmath.fsum(a * x ** (t - 1) for a, x in terms) - 1,
+                                   (mpmath.mpf(1), mpmath.mpf(2)), solver="anderson")
+        assert abs(d - float(want)) <= 1e-12
 
     def test_rejects_nan_length(self):
         with pytest.raises(ValueError):

@@ -334,6 +334,16 @@ class TestSolve:
         assert res.fif.iterations <= 46
 
 
+    def test_one_level_start_box_spec(self):
+        # a box-pipeline spec like the benchmark's; starting the 2^10 solve
+        # from a 2^4 one instead of the broken line also took 32 fine sweeps
+        f = fd.Polynomial([0.2, -0.9, 1.3, -0.5])
+        res = fd.dim_preserving_sequence(f, 1.5, 32, partition=[0.0, 0.39, 1.0], m=2 ** 16, tol=1e-10)
+        assert res.fif.residual <= 1e-10
+        assert res.fif.iterations <= 32
+        assert res.fif.residual == fd.self_ref_residual(res.fif.spec, res.fif)
+
+
 class TestResidual:
     def test_converged_residual_below_tol(self, tent_half_spec):
         fif = fd.solve_fixed_point(tent_half_spec, m=2 ** 12, tol=1e-10)
