@@ -12,7 +12,7 @@ from fracdim.bernstein import _CHUNK, _ONE_BLOCK_EXP, BernsteinFunc, _bezier_val
 # points where t = x/(1-x), its mirror or the final (1-x)^n scaling are
 # most delicate: subnormal and tiny x, both sides of 1/2, the ends
 EDGE_POINTS = [0.0, 5e-324, 1e-300, 0.5 - 1e-16, 0.5 + 1e-16, 1.0 - 1e-16, 1.0]
-# points that decide on which side of 1/2 a point, and so its chunk, falls
+# 1/2 and its neighbours, on both sides of the evaluator's split at 1/2, and the ends
 SPLIT_POINTS = [0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 1.0]
 
 

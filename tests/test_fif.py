@@ -333,7 +333,6 @@ class TestSolve:
         assert res.fif.residual <= 1e-10
         assert res.fif.iterations <= 46
 
-
     def test_one_level_start_box_spec(self):
         # a box-pipeline spec like the benchmark's; starting the 2^10 solve
         # from a 2^4 one instead of the broken line also took 32 fine sweeps
