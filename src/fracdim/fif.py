@@ -18,7 +18,10 @@ has one evaluator, _branch_term, which both solve paths call: the iteration
 for one branch's nodes at a time, N-adic refinement for a table of all
 branches.  When seed and base are Bernstein polynomials of one order n,
 lin_i is itself a Bernstein polynomial of order n in u; the evaluator builds
-these N polynomials once and evaluates one per node.
+these N polynomials once and evaluates one per node.  The iteration's data
+on a set of nodes, each node's interpolation index, its two weights and its
+lin value, have one constructor, _Sweep, which the iterative solve, its
+coarse start, rb_apply and self_ref_residual all use.
 """
 
 from __future__ import annotations
@@ -189,46 +192,43 @@ def _branch_term(spec: FifSpec):
     return term
 
 
-def _make_applier(spec: FifSpec, m: int):
-    """The iterate-free data of the operator on the grid j/m, j = 0..m.
-
-    Returns the nodes xs and, per node, its branch-local pre-image u in
-    [0, 1], its scale alpha_i, and lin, the part of the branch map that does
-    not depend on the iterate: (T g)(x) = lin(x) + alpha_i g(u).  The nodes
-    of a branch are contiguous, so each array is filled one branch at a time.
-    """
-    xs = np.linspace(0.0, 1.0, m + 1)
-    knots, lengths, alpha = spec.partition.knots, spec.partition.lengths, spec.alpha
-    term = _branch_term(spec)
-    u, al, lin = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
-    # branch k holds the nodes in (x_k, x_{k+1}]: interior knots belong to
-    # their left branch, and x = 0 belongs to branch 0
-    bounds = np.searchsorted(xs, knots, side="right")
-    bounds[0] = 0
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.clip((xs[lo:hi] - knots[k]) / lengths[k], 0.0, 1.0, out=u[lo:hi])
-        al[lo:hi] = alpha[k]
-        lin[lo:hi] = term(slice(k, k + 1), u[lo:hi], xs[lo:hi])[0]
-    return xs, u, al, lin
-
-
 class _Sweep:
-    """One application of the operator, g(u) interpolated linearly between nodes.
+    """One application of the operator on the nodes xs, g(u) interpolated linearly between nodes.
 
-    The interpolation indices i0 and the weights w0 = alpha_i (1 - frac) and
-    w1 = alpha_i frac are built once; each call writes
+    The one constructor of the operator's iterate-free data on m + 1 evenly
+    spaced nodes xs from 0 to 1.  Node x of branch i has the pre-image
+    u = (x - x_{i-1}) / a_i in [0, 1], which gives the interpolation index
+    i0, the weights w0 = alpha_i (1 - frac) and w1 = alpha_i frac, and
+    lin = lin_i(u), the part of the branch map that does not depend on the
+    iterate.  The nodes of a branch are contiguous, so the arrays are filled
+    one branch at a time and u lives only for its branch.  A lin passed in
+    is kept, and then no branch function is evaluated.  Each call writes
     w0 g[i0] + w1 g[i0 + 1] + lin into a caller's buffer with the same
     operations in the same order, so the output is bitwise equal to that
     expression evaluated with temporaries.  g[i0 + 1] is read as g[1:] at
     i0, which _grid_cell keeps in range by capping i0 at m - 1.
     """
 
-    def __init__(self, u: np.ndarray, al: np.ndarray, lin: np.ndarray):
-        m = u.size - 1
-        self.i0, frac = _grid_cell(u * m, m)
-        self.w0 = al * (1.0 - frac)
-        self.w1 = al * frac
-        self.lin = lin
+    def __init__(self, spec: FifSpec, xs: np.ndarray, lin: np.ndarray | None = None):
+        m = xs.size - 1
+        knots, lengths, alpha = spec.partition.knots, spec.partition.lengths, spec.alpha
+        term = _branch_term(spec) if lin is None else None
+        self.lin = np.empty(m + 1) if lin is None else lin
+        self.i0, self.w0, self.w1 = np.empty(m + 1, dtype=np.int64), np.empty(m + 1), np.empty(m + 1)
+        # branch k holds the nodes in (x_k, x_{k+1}]: interior knots belong to
+        # their left branch, and x = 0 belongs to branch 0
+        bounds = np.searchsorted(xs, knots, side="right")
+        bounds[0] = 0
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            u = np.clip((xs[lo:hi] - knots[k]) / lengths[k], 0.0, 1.0)
+            if term is not None:
+                self.lin[lo:hi] = term(slice(k, k + 1), u, xs[lo:hi])[0]
+            # _grid_cell writes i0 into its slice and frac over the positions in w1
+            w0, w1 = self.w0[lo:hi], self.w1[lo:hi]
+            _grid_cell(np.multiply(u, m, out=w1), m, self.i0[lo:hi])
+            np.subtract(1.0, w1, out=w0)
+            w0 *= alpha[k]
+            w1 *= alpha[k]
         self.tmp = np.empty(m + 1)
 
     def __call__(self, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ class _Sweep:
 def _sweep_on(spec: FifSpec, g: GridFunction) -> _Sweep:
     if g.partition is not None:
         raise ValueError("the branch-map operator needs samples on the uniform grid j/m, not on a partition's knots")
-    return _Sweep(*_make_applier(spec, g.m)[1:])
+    return _Sweep(spec, g.xs)
 
 
 def rb_apply(spec: FifSpec, g: GridFunction) -> GridFunction:
@@ -420,21 +420,23 @@ COARSE = 64
 COARSE_MIN = 16
 
 
-def _start(spec: FifSpec, xs, u, al, lin, tol: float) -> np.ndarray:
-    """Start of the iteration on the nodes xs: one coarse solve, or the broken line.
+def _start(spec: FifSpec, lin: np.ndarray, tol: float) -> np.ndarray:
+    """Start of the iteration on the grid j/m: one coarse solve, or the broken line.
 
-    The coarse solve runs on every COARSE-th node of the fine arrays, so it
-    evaluates no branch function again.  It iterates from the broken line
-    until its residual is <= tol and is interpolated linearly onto xs as a
-    GridFunction on its nodes.  It never raises: if it stalls above tol, its
-    last iterate is the start.
+    lin is the fine sweep's.  The coarse sweep is built on every COARSE-th
+    node of np.linspace(0, 1, m + 1), the fine nodes' own doubles, and is
+    handed lin[::COARSE], so it evaluates no branch function again.  It iterates from the broken line
+    until its residual is <= tol and is interpolated linearly onto the grid
+    as a GridFunction on its nodes.  It never raises: if it stalls above
+    tol, its last iterate is the start.
     """
-    m = xs.size - 1
+    m = lin.size - 1
+    xs = np.linspace(0.0, 1.0, m + 1)
     broken_line = GridFunction.on_knots(spec.partition.knots, spec.ys)
     if m % COARSE or m // COARSE < COARSE_MIN:
         return broken_line._eval(xs)
-    xs_c, u_c, al_c, lin_c = (a[::COARSE] for a in (xs, u, al, lin))
-    g_c = _iterate(_Sweep(u_c, al_c, lin_c), broken_line._eval(xs_c), tol)[0]
+    xs_c = xs[::COARSE]
+    g_c = _iterate(_Sweep(spec, xs_c, lin[::COARSE]), broken_line._eval(xs_c), tol)[0]
     return GridFunction.on_knots(xs_c, g_c)._eval(xs)
 
 
@@ -453,15 +455,17 @@ def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = D
     when both end values satisfy their equations bit for bit, a few ulps
     otherwise (see _refine).  tol does not apply on this path.
 
-    Otherwise the operator is iterated, from the fixed point on m / 64
-    intervals when COARSE = 64 divides m and m / 64 >= 16 (iterated to tol
-    on every 64th node from the broken line, so 2^16 starts from 2^10),
+    Otherwise the operator is iterated on data built once by _Sweep, from
+    the fixed point on m / 64 intervals when COARSE = 64 divides m and
+    m / 64 >= 16 (iterated to tol on every 64th node from the broken line,
+    with every 64th lin value of the fine data, so 2^16 starts from 2^10),
     interpolated linearly, and from the broken-line interpolant for any
-    other m.  It returns the first iterate whose residual sup|T g - g|
-    is <= tol: residual equals self_ref_residual of the returned grid, which
-    lies within tol / (1 - s) of the iteration's fixed point.  iterations
-    counts the sweeps applied on the m-interval grid to reach it, 0 when
-    the start meets tol.  A residual that does not fall below the one
+    other m.  The iteration holds seven grids of m + 1 values: the sweep's
+    i0, w0, w1, lin and scratch buffer, and two iterates.  It returns the
+    first iterate whose residual sup|T g - g| is <= tol: residual equals
+    self_ref_residual of the returned grid, which lies within tol / (1 - s)
+    of the iteration's fixed point.  iterations counts the sweeps applied on
+    the m-interval grid to reach it, 0 when the start meets tol.  A residual that does not fall below the one
     before, the rounding floor above tol, raises ConvergenceError.
     A tol that is not positive and finite, or an m below 1, raises
     ValueError on both paths.
@@ -474,11 +478,8 @@ def solve_fixed_point(spec: FifSpec, m: int = DEFAULT_RESOLUTION, tol: float = D
     if depth is not None:
         g, residual = _refine(spec, m, depth)
         return FifFunction(m, g, spec=spec, residual=residual, iterations=depth)
-    xs, u, al, lin = _make_applier(spec, m)
-    g = _start(spec, xs, u, al, lin, tol)
-    sweep = _Sweep(u, al, lin)
-    del xs, u, al  # the sweep holds what the fine sweeps read
-    g, iterations, residual = _iterate(sweep, g, tol)
+    sweep = _Sweep(spec, np.linspace(0.0, 1.0, m + 1))
+    g, iterations, residual = _iterate(sweep, _start(spec, sweep.lin, tol), tol)
     if not residual <= tol:
         raise ConvergenceError(
             f"fixed-point iteration stalled at residual {residual:.3e}",

@@ -177,10 +177,14 @@ class Partition:
         return np.diff(self.knots)
 
 
-def _grid_cell(pos: np.ndarray, m: int):
-    """Left node i0 and weight frac of the right node for positions pos in [0, m]."""
-    i0 = np.minimum(pos.astype(np.int64), m - 1)
-    return i0, pos - i0
+def _grid_cell(pos: np.ndarray, m: int, i0: np.ndarray | None = None):
+    """Left node i0 and weight frac of the right node for positions pos in [0, m].
+
+    frac is written over pos, and i0 into the given int64 array if there is one.
+    """
+    i0 = np.minimum(pos.astype(np.int64), m - 1, out=i0)
+    pos -= i0
+    return i0, pos
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import fracdim as fd
 from fracdim import fif as fif_module
 from fracdim.errors import ConvergenceError
+from fracdim.functions import _grid_cell
 
 
 class TestAffineCoeffs:
@@ -341,6 +343,21 @@ class TestSolve:
         assert res.fif.residual <= 1e-10
         assert res.fif.iterations <= 32
         assert res.fif.residual == fd.self_ref_residual(res.fif.spec, res.fif)
+
+    def test_box_solve_peak_memory(self):
+        # the iteration holds i0, w0, w1, lin, a scratch buffer and two
+        # iterates, 7 grids of m + 1 doubles; building them adds little
+        m = 2 ** 16
+        f = fd.Polynomial([0.2, -0.9, 1.3, -0.5])
+        spec = fd.dim_preserving_sequence(f, 1.5, 32, partition=[0.0, 0.39, 1.0], m=2 ** 10).fif.spec
+        tracemalloc.start()
+        try:
+            fif = fd.solve_fixed_point(spec, m=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fif.iterations > 0
+        assert peak < 9.5 * 8 * (m + 1)
 
 
 class TestResidual:
@@ -691,13 +708,13 @@ class TestNAdicRefinement:
     )
     def test_dispatch(self, monkeypatch, knots, m, refined):
         calls = []
-        real = fif_module._make_applier
+        real = fif_module._Sweep
 
-        def spy(spec, m):
-            calls.append(m)
-            return real(spec, m)
+        def spy(spec, xs, lin=None):
+            calls.append(xs.size - 1)
+            return real(spec, xs, lin)
 
-        monkeypatch.setattr(fif_module, "_make_applier", spy)
+        monkeypatch.setattr(fif_module, "_Sweep", spy)
         n = len(knots) - 1
         spec = fd.make_affine_spec(knots, np.r_[0.0, np.ones(n - 1), 0.0], np.full(n, 0.6))
         fif = fd.solve_fixed_point(spec, m=m)
@@ -787,9 +804,19 @@ class TestBranchTerm:
     @settings(max_examples=80, deadline=None)
     def test_branch_slices_equal_per_node_gathers(self, case):
         spec, m = case
-        for got, want in zip(fif_module._make_applier(spec, m), per_node_applier(spec, m)):
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        xs, u, al, lin = per_node_applier(spec, m)
+        # the fine nodes and, when COARSE divides m, every COARSE-th of them, the coarse start's nodes
+        steps = [1, fif_module.COARSE] if m % fif_module.COARSE == 0 else [1]
+        for step in steps:
+            sweep = fif_module._Sweep(spec, xs[::step])
+            mk = m // step
+            i0, frac = _grid_cell(u[::step] * mk, mk)
+            want = {"i0": i0, "w0": al[::step] * (1.0 - frac), "w1": al[::step] * frac, "lin": lin[::step]}
+            for name, value in want.items():
+                got = getattr(sweep, name)
+                assert got.dtype == value.dtype, name
+                assert np.array_equal(got, value), name
+                assert np.array_equal(np.signbit(got), np.signbit(value)), name
 
 
 class TestBranchPolynomials:
