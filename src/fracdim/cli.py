@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, --help and --version; 1 malformed input (usage errors
 included: a bad choice or type, an unknown, abbreviated or missing option, a
-missing --csv file; non-finite numbers; sizes that cannot be allocated; and a
+missing --csv file; non-finite numbers; sizes that cannot be allocated; an
+--out path that cannot be written, before any report is printed; and a
 bare `fracdim`, which prints the command list on stdout), 2 hypothesis/gate
 diagnostic, 3 convergence failure.  `main` is the one place that maps an
 outcome to its code.
@@ -74,9 +75,9 @@ def cmd_estimate_dim(func, csv, m, jmin, jmax, out):
         raise ValueError("provide exactly one of --func or --csv")
     grid = sample(func_from_json(_load_json_arg(func)), m) if func is not None else GridFunction.from_csv(csv)
     report = estimate_box_dim(grid, jmin, jmax)
-    print(json.dumps(report.to_json(), indent=2))
     if out:
         report.scales_to_csv(out)
+    print(json.dumps(report.to_json(), indent=2))
 
 
 def cmd_approximate(func, beta, mode, n, m, tol, nonneg, out):
@@ -122,9 +123,9 @@ def cmd_approximate(func, beta, mode, n, m, tol, nonneg, out):
         payload = {"mode": "derivative", "n": n, "beta": beta, "primitive_at_0": result.primitive(0.0),
                    "primitive_at_1": result.primitive(1.0), "min_primitive": result.min_primitive}
         samples = sample(result.primitive, m)
-    print(json.dumps(payload, indent=2))
     if out:
         samples.to_csv(out)
+    print(json.dumps(payload, indent=2))
 
 
 def cmd_generate(kind, a, b, k, spec, m, n_points, tol, seed, out):
@@ -148,9 +149,9 @@ def cmd_extend(domain, beta, m, jmin, jmax, out):
     report = estimate_box_dim(grid, jmin, jmax)
     payload = {"beta": beta, "max_jump": extended.max_jump, "estimated": report.estimated,
                "raw_slope": report.raw_slope, "r_squared": report.r_squared}
-    print(json.dumps(payload, indent=2))
     if out:
         grid.to_csv(out)
+    print(json.dumps(payload, indent=2))
 
 
 class _Formatter(argparse.ArgumentDefaultsHelpFormatter):

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "FracdimError",
+    "DomainError",
+    "HypothesisError",
+    "CollinearDataError",
+    "DegenerateDenominatorError",
+    "ConditionError",
+    "BetaRangeError",
+    "ScaleError",
+    "ConvergenceError",
+]
+
 
 class FracdimError(Exception):
     """Base class for all package-specific errors."""

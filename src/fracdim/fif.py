@@ -548,10 +548,15 @@ def spec_from_json(obj) -> FifSpec:
     if not isinstance(obj, dict) or "branch" not in obj:
         raise ValueError("spec JSON must be an object with a 'branch' field")
     branch = obj["branch"]
-    if branch == "affine":
-        return make_affine_spec(obj["knots"], obj["ys"], obj["alpha"])
-    if branch == "alpha_fractal":
-        seed = func_from_json(obj["seed"])
-        base = func_from_json(obj["base"])
-        return make_alpha_fractal_spec(obj["knots"], obj["alpha"], seed, base, ys=obj.get("ys"))
+    try:
+        if branch == "affine":
+            return make_affine_spec(obj["knots"], obj["ys"], obj["alpha"])
+        if branch == "alpha_fractal":
+            seed = func_from_json(obj["seed"])
+            base = func_from_json(obj["base"])
+            return make_alpha_fractal_spec(obj["knots"], obj["alpha"], seed, base, ys=obj.get("ys"))
+    except KeyError as exc:
+        raise ValueError(f"{branch!r} spec JSON is missing the field {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type, such as an object for a list
+        raise ValueError(f"{branch!r} spec JSON has a field of the wrong type: {exc}") from exc
     raise ValueError(f"unknown branch kind {branch!r}")

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -424,6 +426,75 @@ def test_exit_code_contract(args, code, stdout_start, stderr_start):
     assert res.exit_code == code
     assert res.stdout.startswith(stdout_start)
     assert res.stderr.startswith(stderr_start)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate-dim", "--func", '{"kind": "polynomial", "coeffs": [0, 1]}', "--m", "4096", "--jmax", "10"],
+        ["approximate", "--func", QUAD, "--beta", "1.5", "--mode", "box", "--n", "8", "--m", "1024"],
+        ["extend", "--domain", json.dumps(TestExtend.DOMAIN), "--beta", "1.5", "--m", "4096", "--jmax", "10"],
+    ],
+    ids=["estimate-dim", "approximate", "extend"],
+)
+def test_unwritable_out_prints_no_payload(tmp_path, args):
+    # the CSV is written before the report, so a failed write leaves stdout empty
+    res = run(*args, "--out", str(tmp_path / "no-such-dir" / "x.csv"))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("input error:")
+    assert len(res.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, words",
+    [(dict(TENT_SPEC, alpha={"a": 1}), "has a field of the wrong type"),
+     ({k: v for k, v in TENT_SPEC.items() if k != "alpha"}, "is missing the field 'alpha'")],
+    ids=["object-alpha", "no-alpha"],
+)
+@pytest.mark.parametrize(
+    "args",
+    [["generate", "fif", "--m", "64", "--out", "x.csv"], ["generate", "chaos", "--n-points", "10", "--out", "x.csv"],
+     ["predict-dim"]],
+    ids=["generate-fif", "generate-chaos", "predict-dim"],
+)
+def test_malformed_spec_exits_one(tmp_path, monkeypatch, args, spec, words):
+    # an input error, not a TypeError traceback or a bare "'alpha'"
+    monkeypatch.chdir(tmp_path)
+    res = run(*args, "--spec", json.dumps(spec))
+    assert res.exit_code == 1
+    assert res.stderr.startswith(f"input error: 'affine' spec JSON {words}")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def readme_cli_commands():
+    """Each `fracdim` command of README's CLI block as an argument list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "fracdim " in b)
+    tokens = shlex.split(block.replace("\\\n", " "))
+    starts = [i for i, t in enumerate(tokens) if t == "fracdim"]
+    return [tokens[a + 1:b] for a, b in zip(starts, starts[1:] + [len(tokens)])]
+
+
+README_CLI = readme_cli_commands()
+
+
+@pytest.mark.parametrize("args", README_CLI, ids=[f"{i}-{args[0]}" for i, args in enumerate(README_CLI)])
+def test_readme_cli_block_runs(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    # the block reads spec.json; it holds the library example's tent spec
+    a = 2.0 ** -0.5
+    (tmp_path / "spec.json").write_text(json.dumps(fracdim.spec_to_json(
+        fracdim.make_affine_spec([0, 0.5, 1], [0, 1, 0], [a, a]))))
+    res = run(*args)
+    assert res.exit_code == 0, res.stderr
+    if args[0] == "generate":
+        assert res.stdout == ""
+    else:
+        assert isinstance(json.loads(res.stdout), dict)
+    if "--out" in args:
+        rows = (tmp_path / args[args.index("--out") + 1]).read_text().splitlines()
+        assert rows[0] == "x,y" and len(rows) > 1
 
 
 def python(*args):

@@ -448,6 +448,26 @@ class TestJson:
             fd.rb_apply(back, g).values, fd.rb_apply(spec, g).values
         )
 
+    @pytest.mark.parametrize(
+        "obj, words",
+        [
+            ({"branch": "affine", "knots": [0, 0.5, 1], "ys": [0, 1, 0], "alpha": {"a": 1}},
+             ["'affine'", "wrong type"]),
+            ({"branch": "affine", "knots": [0, 0.5, 1], "ys": [0, 1, 0]}, ["'affine'", "missing", "'alpha'"]),
+            ({"branch": "alpha_fractal", "knots": [0, 0.5, 1], "alpha": [0.5, 0.5], "ys": {"a": 1},
+              "seed": {"kind": "polynomial", "coeffs": [0, 1]}, "base": {"kind": "polynomial", "coeffs": [0]}},
+             ["'alpha_fractal'", "wrong type"]),
+            ({"branch": "alpha_fractal", "knots": [0, 0.5, 1], "alpha": [0.5, 0.5],
+              "seed": {"kind": "polynomial", "coeffs": [0, 1]}}, ["'alpha_fractal'", "missing", "'base'"]),
+        ],
+        ids=["affine-object-alpha", "affine-no-alpha", "alpha-fractal-object-ys", "alpha-fractal-no-base"],
+    )
+    def test_malformed_field_is_a_value_error(self, obj, words):
+        # a TypeError or KeyError would escape the CLI's input-error exit as a traceback or a bare name
+        with pytest.raises(ValueError) as exc:
+            fd.spec_from_json(obj)
+        assert all(word in str(exc.value) for word in words), str(exc.value)
+
     def test_solved_fif_roundtrips_as_grid(self, tent_half_spec):
         fif = fd.solve_fixed_point(tent_half_spec, m=2 ** 10)
         obj = json.loads(json.dumps(fd.func_to_json(fif)))

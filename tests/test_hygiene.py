@@ -1,9 +1,11 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -112,6 +114,42 @@ def test_no_unread_private_helpers():
     package = Path(fracdim.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+LIBRARY = ["errors", "functions", "bernstein", "fif", "dimension", "pipeline"]
+# names the package exported before it re-exported each __all__; none may be dropped
+PINNED_EXPORTS = {
+    "errors": "BetaRangeError CollinearDataError ConditionError ConvergenceError DegenerateDenominatorError "
+              "DomainError FracdimError HypothesisError ScaleError",
+    "functions": "AntiDerivative Func GridFunction Partition Polynomial Scaled Shifted Sum WeierstrassSeries "
+                 "func_from_json func_to_json lipschitz_estimate sample sup_norm_diff write_xy_csv",
+    "bernstein": "BernsteinFunc BernsteinPoly bernstein_build bernstein_derivative_eval bernstein_eval "
+                 "modulus_smoothness totik_error_report",
+    "fif": "AffineBranch AlphaFractalBranch FifFunction FifSpec affine_branch_coeffs affine_map_params chaos_game "
+           "make_affine_spec make_alpha_fractal_spec rb_apply self_ref_residual solve_fixed_point spec_from_json "
+           "spec_to_json",
+    "dimension": "DataSet DimReport box_count collinear dimension_equation_root estimate_box_dim "
+                 "hausdorff_condition predict_box_dim predict_hausdorff_dim",
+    "pipeline": "Anchor ExtensionDomain dense_approximant derivative_dim_approximant dim_preserving_sequence "
+                "extend_function hausdorff_preserving_sequence lipschitz_invariance_check make_anchor",
+}
+
+
+def test_package_exports_each_module_all():
+    # each library module's __all__ is the one list of its public names; the package re-exports them
+    lists = [importlib.import_module(f"fracdim.{name}").__all__ for name in LIBRARY]
+    listed = [name for names in lists for name in names]
+    assert len(listed) == len(set(listed)), "a name is in two modules' __all__"
+    public = {name for name, value in vars(fracdim).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert public == set(listed)
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_pinned_exports_are_the_module_objects(module):
+    mod = importlib.import_module(f"fracdim.{module}")
+    for name in PINNED_EXPORTS[module].split():
+        assert getattr(fracdim, name) is getattr(mod, name), name
 
 
 README_PYTHON = re.findall(r"```python\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
