@@ -320,8 +320,6 @@ def totik_error_report(f: Func, n: int) -> TotikReport:
     The literature bound has an unspecified constant, so only the ratio is
     reported (inf when the modulus vanishes but the error does not).
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
     poly = bernstein_build(f, n)
     sup_err = sup_norm_diff(f, BernsteinFunc(poly))
     mod = modulus_smoothness(f, 1.0 / np.sqrt(n))

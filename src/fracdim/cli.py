@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, --help and --version; 1 malformed input (usage errors
 included: a bad choice or type, an unknown, abbreviated or missing option, a
-missing --csv file; non-finite numbers; sizes that cannot be allocated; an
---out path that cannot be written, before any report is printed; and a
-bare `fracdim`, which prints the command list on stdout), 2 hypothesis/gate
-diagnostic, 3 convergence failure.  `main` is the one place that maps an
-outcome to its code.
+missing --csv file; a JSON field that is missing or of the wrong type;
+non-finite numbers; sizes that cannot be allocated; an --out path that
+cannot be written, before any report is printed; and a bare `fracdim`,
+which prints the command list on stdout), 2 hypothesis/gate diagnostic, 3
+convergence failure.  `main` is the one place that maps an outcome to its
+code.
 """
 
 from __future__ import annotations
@@ -253,15 +254,17 @@ def main(argv: list[str] | None = None, prog: str = "fracdim") -> None:
         code, line = 2, f"diagnostic: {exc}"
     except ConvergenceError as exc:
         code, line = 3, f"convergence failure: {exc}"
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except KeyError as exc:  # a field missing from the predict-dim or extend JSON object
+        code, line = 1, f"input error: missing the field {exc}"
+    except (ValueError, OSError, MemoryError) as exc:
         code, line = 1, f"input error: {exc}"
     if line:
         print(line, file=sys.stderr)
     sys.exit(code)
 
 
-# main.main(args=, prog_name=, standalone_mode=): the call perfbench/cli_launcher.py and
-# tests/test_cli.py make; standalone_mode is not read.
+# main.main(args=, prog_name=, standalone_mode=): the call perfbench/cli_launcher.py
+# makes; standalone_mode is not read.
 main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args, prog_name or "fracdim")
 
 

@@ -10,12 +10,12 @@ by the sampled graph and regresses log2 counts against the scale exponent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, HypothesisError, ScaleError
-from .functions import GridFunction
+from .functions import GridFunction, Partition
 
 __all__ = [
     "DimReport",
@@ -48,16 +48,7 @@ class DimReport:
     diagnostic: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "predicted": self.predicted,
-            "predicted_kind": self.predicted_kind,
-            "estimated": self.estimated,
-            "raw_slope": self.raw_slope,
-            "slope_stderr": self.slope_stderr,
-            "r_squared": self.r_squared,
-            "scales_used": [[d, int(c)] for d, c in self.scales_used],
-            "diagnostic": self.diagnostic,
-        }
+        return {**asdict(self), "scales_used": [[d, int(c)] for d, c in self.scales_used]}
 
     def scales_to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -69,24 +60,17 @@ class DimReport:
 
 @dataclass(eq=False)
 class DataSet:
-    """Interpolation points with increasing abscissae spanning [0, 1]."""
+    """At least 3 interpolation points: one finite y per knot of a Partition."""
 
     xs: np.ndarray
     ys: np.ndarray
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
-        self.ys = np.asarray(self.ys, dtype=float)
         if self.xs.ndim != 1 or self.xs.size < 3:
             raise ValueError("need at least 3 data points")
-        if self.ys.shape != self.xs.shape:
-            raise ValueError("xs and ys must have equal length")
-        if self.xs[0] != 0.0 or self.xs[-1] != 1.0:
-            raise ValueError("abscissae must span [0, 1]")
-        if not np.all(np.diff(self.xs) > 0):
-            raise ValueError("abscissae must be strictly increasing")
-        if not (np.all(np.isfinite(self.xs)) and np.all(np.isfinite(self.ys))):
-            raise ValueError("data must be finite")
+        self.partition = Partition(self.xs)
+        self.ys = self.partition.ordinates(self.ys)
 
     @classmethod
     def from_points(cls, points) -> "DataSet":
@@ -112,13 +96,6 @@ def _floats(obj, name: str) -> np.ndarray:
         raise ValueError(f"{name} must hold numbers only: {exc}") from exc
 
 
-def _scale_factors(alpha) -> np.ndarray:
-    alpha = _floats(alpha, "scale factors")
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError("scale factors must be finite")
-    return alpha
-
-
 def dimension_equation_root(lengths, alpha) -> float:
     """Unique D in (1, 2) solving sum |alpha_i| a_i^(D-1) = 1, by safeguarded Newton.
 
@@ -129,7 +106,9 @@ def dimension_equation_root(lengths, alpha) -> float:
     Stops once |phi(D) - 1| <= ROOT_RESIDUAL_TOL, from D = 1.5.
     """
     lengths = np.asarray(lengths, dtype=float)
-    alpha = np.abs(_scale_factors(alpha))
+    alpha = np.abs(_floats(alpha, "scale factors"))
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("scale factors must be finite")
     if lengths.shape != alpha.shape:
         raise ValueError("lengths and alpha must have equal length")
     if not np.all((lengths > 0) & (lengths < 1)):  # also rejects NaN
@@ -156,17 +135,6 @@ def dimension_equation_root(lengths, alpha) -> float:
     return d
 
 
-def _branch_scales(data: DataSet, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """alpha as floats with |alpha_i| < 1, one per interval of data, and the interval lengths."""
-    alpha = _scale_factors(alpha)
-    if np.any(np.abs(alpha) >= 1.0):
-        raise ValueError("scale factors must satisfy |alpha_i| < 1")
-    lengths = np.diff(data.xs)
-    if alpha.shape != lengths.shape:
-        raise ValueError("alpha length must equal interval count")
-    return alpha, lengths
-
-
 def predict_box_dim(data: DataSet, alpha) -> DimReport:
     """Closed-form box dimension of the affine interpolant's graph.
 
@@ -174,7 +142,7 @@ def predict_box_dim(data: DataSet, alpha) -> DimReport:
     diagnostic) when the data are collinear, since the theorem hypothesis
     fails there.
     """
-    alpha, lengths = _branch_scales(data, alpha)
+    alpha = data.partition.scale_factors(_floats(alpha, "scale factors"))
     if np.sum(np.abs(alpha)) <= 1.0:
         return DimReport(predicted=1.0, predicted_kind="degenerate_one")
     if collinear(data):
@@ -182,14 +150,14 @@ def predict_box_dim(data: DataSet, alpha) -> DimReport:
             predicted=None,
             diagnostic="data points are collinear; the box-dimension formula does not apply",
         )
-    return DimReport(predicted=dimension_equation_root(lengths, alpha), predicted_kind="box")
+    return DimReport(predicted=dimension_equation_root(data.partition.lengths, alpha), predicted_kind="box")
 
 
 def hausdorff_condition(data: DataSet, alpha, tol: float = CONDITION_TOL) -> bool:
     """True iff two branch quotients differ by more than tol."""
-    alpha = np.asarray(alpha, dtype=float)
+    alpha = data.partition.scale_factors(_floats(alpha, "scale factors"))
     dy = np.diff(data.ys)
-    dx = np.diff(data.xs)
+    dx = data.partition.lengths
     span = data.ys[-1] - data.ys[0]
     denom = dx - alpha
     if np.any(np.abs(denom) <= tol):
@@ -202,7 +170,7 @@ def hausdorff_condition(data: DataSet, alpha, tol: float = CONDITION_TOL) -> boo
 
 def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
     """Hausdorff dimension via the same root, gated on the quotient condition."""
-    alpha, lengths = _branch_scales(data, alpha)
+    alpha = data.partition.scale_factors(_floats(alpha, "scale factors"))
     if np.sum(np.abs(alpha)) <= 1.0:
         return DimReport(
             predicted=None,
@@ -214,7 +182,7 @@ def predict_hausdorff_dim(data: DataSet, alpha) -> DimReport:
             diagnostic="quotient condition fails: all branch quotients coincide",
         )
     return DimReport(
-        predicted=dimension_equation_root(lengths, alpha), predicted_kind="hausdorff"
+        predicted=dimension_equation_root(data.partition.lengths, alpha), predicted_kind="hausdorff"
     )
 
 

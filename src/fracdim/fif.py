@@ -82,13 +82,7 @@ def affine_branch_coeffs(partition: Partition, ys, alpha):
 
     d_i = y_{i-1} - alpha_i y_0 and c_i = y_i - y_{i-1} - alpha_i (y_N - y_0).
     """
-    ys = np.asarray(ys, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    n = partition.n_intervals
-    if ys.shape != (n + 1,):
-        raise ValueError("ys length must equal knot count")
-    if alpha.shape != (n,):
-        raise ValueError("alpha length must equal interval count")
+    ys, alpha = partition.ordinates(ys), partition.scale_factors(alpha)
     d = ys[:-1] - alpha * ys[0]
     c = np.diff(ys) - alpha * (ys[-1] - ys[0])
     return c, d
@@ -102,17 +96,8 @@ class FifSpec:
     branch: object  # AffineBranch | AlphaFractalBranch
 
     def __post_init__(self):
-        self.ys = np.asarray(self.ys, dtype=float)
-        self.alpha = np.asarray(self.alpha, dtype=float)
-        n = self.partition.n_intervals
-        if self.ys.shape != (n + 1,):
-            raise ValueError("ys length must equal knot count")
-        if self.alpha.shape != (n,):
-            raise ValueError("alpha length must equal interval count")
-        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.ys))):
-            raise ValueError("scale factors and ordinates must be finite")
-        if np.any(np.abs(self.alpha) >= 1.0):
-            raise ValueError("scale factors must satisfy |alpha_i| < 1")
+        self.ys = self.partition.ordinates(self.ys)
+        self.alpha = self.partition.scale_factors(self.alpha)
         # the bounds grow with the ordinates, as the rounding of the
         # coefficients and of the branch functions does
         scale = max(1.0, float(np.max(np.abs(self.ys))))
@@ -136,16 +121,16 @@ class FifSpec:
 
 
 def make_affine_spec(knots, ys, alpha) -> FifSpec:
-    partition = knots if isinstance(knots, Partition) else Partition(np.asarray(knots, dtype=float))
+    partition = knots if isinstance(knots, Partition) else Partition(knots)
     c, d = affine_branch_coeffs(partition, ys, alpha)
-    return FifSpec(partition, np.asarray(ys, dtype=float), np.asarray(alpha, dtype=float), AffineBranch(c, d))
+    return FifSpec(partition, ys, alpha, AffineBranch(c, d))
 
 
 def make_alpha_fractal_spec(knots, alpha, seed: Func, base: Func, ys=None) -> FifSpec:
-    partition = knots if isinstance(knots, Partition) else Partition(np.asarray(knots, dtype=float))
+    partition = knots if isinstance(knots, Partition) else Partition(knots)
     if ys is None:
         ys = seed._eval(partition.knots)
-    return FifSpec(partition, ys, np.asarray(alpha, dtype=float), AlphaFractalBranch(seed, base))
+    return FifSpec(partition, ys, alpha, AlphaFractalBranch(seed, base))
 
 
 def _branch_polys(spec: FifSpec) -> list[BernsteinFunc] | None:

@@ -155,7 +155,11 @@ class WeierstrassSeries(Func):
 
 @dataclass(eq=False)
 class Partition:
-    """Strictly increasing knots 0 = x_0 < ... < x_N = 1."""
+    """Strictly increasing knots 0 = x_0 < ... < x_N = 1.
+
+    The one owner of the interpolation-data rules: ordinates and
+    scale_factors check the ys and alpha of data on these knots.
+    """
 
     knots: np.ndarray
 
@@ -175,6 +179,26 @@ class Partition:
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.knots)
+
+    def ordinates(self, ys) -> np.ndarray:
+        """ys as floats, one finite value per knot."""
+        ys = np.asarray(ys, dtype=float)
+        if ys.shape != self.knots.shape:
+            raise ValueError("ys length must equal knot count")
+        if not np.all(np.isfinite(ys)):
+            raise ValueError("ordinates must be finite")
+        return ys
+
+    def scale_factors(self, alpha) -> np.ndarray:
+        """alpha as floats, one finite alpha_i with |alpha_i| < 1 per interval."""
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.shape != (self.n_intervals,):
+            raise ValueError("alpha length must equal interval count")
+        if not np.all(np.isfinite(alpha)):
+            raise ValueError("scale factors must be finite")
+        if np.any(np.abs(alpha) >= 1.0):
+            raise ValueError("scale factors must satisfy |alpha_i| < 1")
+        return alpha
 
 
 def _grid_cell(pos: np.ndarray, m: int, i0: np.ndarray | None = None):
@@ -355,6 +379,8 @@ def func_from_json(obj) -> Func:
         raise ValueError("function JSON must be an object with a 'kind' field")
     try:
         return _func_from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"{obj['kind']!r} function JSON is missing the field {exc}") from exc
     except TypeError as exc:  # a field of the wrong JSON type, such as null for a number
         raise ValueError(f"{obj['kind']!r} function JSON has a field of the wrong type: {exc}") from exc
 

@@ -136,10 +136,8 @@ def dim_preserving_sequence(
     different partition in that case.
     """
     _require_beta(beta)
-    if n < 1:
-        raise ValueError("order must be >= 1")
     part = partition if isinstance(partition, Partition) else Partition(
-        np.asarray(partition, dtype=float) if partition is not None else np.array([0.0, 0.5, 1.0])
+        partition if partition is not None else [0.0, 0.5, 1.0]
     )
     alpha_val = 1.0 / float(np.sum(part.lengths ** (beta - 1.0)))
     alpha = np.full(part.n_intervals, alpha_val)

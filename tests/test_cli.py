@@ -28,7 +28,7 @@ def run(*args):
     """Run one command in-process: its exit code and what it wrote to stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main.main(args=list(args), prog_name="main")
+        main(list(args), "main")
     return SimpleNamespace(exit_code=exc.value.code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
@@ -465,6 +465,22 @@ def test_malformed_spec_exits_one(tmp_path, monkeypatch, args, spec, words):
     assert res.exit_code == 1
     assert res.stderr.startswith(f"input error: 'affine' spec JSON {words}")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [(["predict-dim", "--spec", json.dumps({"data": TENT["data"]})], "missing the field 'alpha'"),
+     (["estimate-dim", "--func", '{"kind": "polynomial"}'], "'polynomial' function JSON is missing the field 'coeffs'"),
+     (["extend", "--domain", json.dumps({"values": TestExtend.DOMAIN["values"]}), "--beta", "1.5"],
+      "missing the field 'intervals'")],
+    ids=["predict-dim", "estimate-dim", "extend"],
+)
+def test_missing_json_field_is_named(args, line):
+    # a missing field is named as one, not printed as a bare key
+    res = run(*args)
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr == f"input error: {line}\n"
 
 
 def readme_cli_commands():

@@ -276,6 +276,38 @@ class TestPartitionAndGrid:
             fd.write_xy_csv(tmp_path / "xy.csv", np.zeros(5), np.zeros(4))
 
 
+TENT_KNOTS, TENT_YS = [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda knots, ys, alpha: fd.FifSpec(fd.Partition(knots), ys, alpha,
+                                         fd.AffineBranch(np.zeros(len(knots) - 1), np.zeros(len(knots) - 1))),
+     fd.make_affine_spec,
+     lambda knots, ys, alpha: fd.affine_branch_coeffs(fd.Partition(knots), ys, alpha),
+     lambda knots, ys, alpha: fd.predict_box_dim(fd.DataSet(knots, ys), alpha),
+     lambda knots, ys, alpha: fd.predict_hausdorff_dim(fd.DataSet(knots, ys), alpha),
+     lambda knots, ys, alpha: fd.hausdorff_condition(fd.DataSet(knots, ys), alpha)],
+    ids=["FifSpec", "make_affine_spec", "affine_branch_coeffs", "predict_box_dim", "predict_hausdorff_dim",
+         "hausdorff_condition"],
+)
+@pytest.mark.parametrize(
+    "knots, ys, alpha, message",
+    [(TENT_KNOTS, TENT_YS, [0.75], "alpha length must equal interval count"),
+     (TENT_KNOTS, TENT_YS, [math.nan, 0.75], "scale factors must be finite"),
+     (TENT_KNOTS, TENT_YS, [1.0, 0.75], "scale factors must satisfy |alpha_i| < 1"),
+     (TENT_KNOTS, [0.0, math.nan, 0.0], [0.75, 0.75], "ordinates must be finite"),
+     ([0.0, 0.6, 0.5, 1.0], [0.0, 1.0, 0.5, 0.0], [0.5, 0.5, 0.5], "knots must be strictly increasing")],
+    ids=["alpha-length", "nan-alpha", "unit-alpha", "nan-y", "unsorted-knots"],
+)
+def test_partition_owns_the_interpolation_data_rules(build, knots, ys, alpha, message):
+    # every constructor of interpolation data raises the same error for the same defect
+    with pytest.raises(ValueError) as exc:
+        build(knots, ys, alpha)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
 class TestJson:
     def test_roundtrip_all_kinds(self):
         f = fd.Sum(
