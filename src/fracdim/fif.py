@@ -3,14 +3,16 @@
 Specs pair a partition with interpolation data, a scale vector, and a branch
 family: either affine maps F_i(x, y) = c_i x + d_i + alpha_i y, or the
 fractal-perturbation branch F built from a seed function and a base function.
-Fixed points are computed on a uniform grid of m intervals.  When the knots
-are N >= 2 equal intervals and m = N^k, every branch pre-image of a grid node
-is a grid node, and the fixed point follows level by level from the
-self-referential equation (N-adic refinement).  Otherwise the operator is
-iterated with linear interpolation at branch pre-images, in place in two
-buffers, until an iterate's residual is <= tol.  It starts from the fixed
-point on a grid 64 times coarser when m allows it, itself iterated from the
-broken line, and from the broken line otherwise.
+An affine branch is derived from ys and alpha, so it is never an input; an
+alpha-fractal seed must interpolate ys at the knots.  Fixed points are
+computed on a uniform grid of m intervals.  When the knots are N >= 2 equal
+intervals and m = N^k, every branch pre-image of a grid node is a grid node,
+and the fixed point follows level by level from the self-referential
+equation (N-adic refinement).  Otherwise the operator is iterated with
+linear interpolation at branch pre-images, in place in two buffers, until an
+iterate's residual is <= tol.  It starts from the fixed point on a grid 64
+times coarser when m allows it, itself iterated from the broken line, and
+from the broken line otherwise.
 
 The part of branch i that does not depend on the iterate, lin_i(u) =
 seed(x_{i-1} + a_i u) - alpha_i base(u) (c_i u + d_i for affine branches),
@@ -77,56 +79,58 @@ def affine_map_params(partition: Partition):
     return partition.lengths.copy(), partition.knots[:-1].copy()
 
 
-def affine_branch_coeffs(partition: Partition, ys, alpha):
-    """Coefficients c_i, d_i making both interpolation conditions exact.
-
-    d_i = y_{i-1} - alpha_i y_0 and c_i = y_i - y_{i-1} - alpha_i (y_N - y_0).
-    """
-    ys, alpha = partition.ordinates(ys), partition.scale_factors(alpha)
-    d = ys[:-1] - alpha * ys[0]
-    c = np.diff(ys) - alpha * (ys[-1] - ys[0])
-    return c, d
-
-
 @dataclass(eq=False)
 class FifSpec:
+    """Interpolation data on a partition, a scale vector and a branch family.
+
+    ys and alpha are checked once, by Partition.ordinates and
+    Partition.scale_factors.  With branch omitted the spec is affine, and
+    its branch is derived from the data: AffineBranch(c, d) with
+    c_i = y_i - y_{i-1} - alpha_i (y_N - y_0) and d_i = y_{i-1} - alpha_i y_0,
+    the coefficients for which F_i(0, y_0) = y_{i-1} and F_i(1, y_N) = y_i.
+    An AlphaFractalBranch's seed must interpolate ys, and its base must
+    match the seed at 0 and 1, both to within 1e-9 max(1, max|ys|).
+    """
+
     partition: Partition
     ys: np.ndarray
     alpha: np.ndarray
-    branch: object  # AffineBranch | AlphaFractalBranch
+    branch: AlphaFractalBranch | None = None  # an AffineBranch once built when omitted
 
     def __post_init__(self):
-        self.ys = self.partition.ordinates(self.ys)
-        self.alpha = self.partition.scale_factors(self.alpha)
-        # the bounds grow with the ordinates, as the rounding of the
-        # coefficients and of the branch functions does
-        scale = max(1.0, float(np.max(np.abs(self.ys))))
-        if isinstance(self.branch, AffineBranch):
-            c, d = self.branch.c, self.branch.d
-            if np.max(np.abs(d + self.alpha * self.ys[0] - self.ys[:-1])) > 1e-12 * scale:
-                raise ValueError("branch maps violate the left interpolation condition")
-            if np.max(np.abs(c + d + self.alpha * self.ys[-1] - self.ys[1:])) > 1e-12 * scale:
-                raise ValueError("branch maps violate the right interpolation condition")
-        elif isinstance(self.branch, AlphaFractalBranch):
-            ends = np.array([0.0, 1.0])
-            gap = np.abs(self.branch.base._eval(ends) - self.branch.seed._eval(ends))
-            if np.max(gap) > 1e-9 * scale:
-                raise ValueError("base must match the seed at both endpoints")
-        else:
-            raise ValueError("branch must be AffineBranch or AlphaFractalBranch")
+        ys = self.ys = self.partition.ordinates(self.ys)
+        alpha = self.alpha = self.partition.scale_factors(self.alpha)
+        if self.branch is None:
+            self.branch = AffineBranch(np.diff(ys) - alpha * (ys[-1] - ys[0]), ys[:-1] - alpha * ys[0])
+            return
+        if not isinstance(self.branch, AlphaFractalBranch):
+            raise ValueError("branch must be omitted (affine: c, d follow from ys, alpha) or an AlphaFractalBranch")
+        # the bound grows with the ordinates, as the rounding of the branch functions does
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(ys))))
+        at_knots = self.branch.seed._eval(self.partition.knots)
+        if np.max(np.abs(at_knots - ys)) > bound:
+            raise ValueError("seed must interpolate ys at the knots")
+        if np.max(np.abs(self.branch.base._eval(np.array([0.0, 1.0])) - at_knots[[0, -1]])) > bound:
+            raise ValueError("base must match the seed at both endpoints")
 
     @property
     def contraction_factor(self) -> float:
         return float(np.max(np.abs(self.alpha)))
 
 
+def affine_branch_coeffs(partition: Partition, ys, alpha):
+    """Coefficients c_i, d_i of the affine spec on these data, as FifSpec derives them."""
+    branch = FifSpec(partition, ys, alpha).branch
+    return branch.c, branch.d
+
+
 def make_affine_spec(knots, ys, alpha) -> FifSpec:
-    partition = knots if isinstance(knots, Partition) else Partition(knots)
-    c, d = affine_branch_coeffs(partition, ys, alpha)
-    return FifSpec(partition, ys, alpha, AffineBranch(c, d))
+    """Affine spec on knots, a Partition or its knot values."""
+    return FifSpec(knots if isinstance(knots, Partition) else Partition(knots), ys, alpha)
 
 
 def make_alpha_fractal_spec(knots, alpha, seed: Func, base: Func, ys=None) -> FifSpec:
+    """Alpha-fractal spec on knots; ys defaults to the seed's values there."""
     partition = knots if isinstance(knots, Partition) else Partition(knots)
     if ys is None:
         ys = seed._eval(partition.knots)

@@ -215,8 +215,16 @@ def _grid_cell(pos: np.ndarray, m: int, i0: np.ndarray | None = None):
 class GridFunction(Func):
     """Samples values[j] at sorted nodes xs[j], j = 0..m, linear in between.
 
-    The nodes are the uniform grid j/m, built only when xs is read, or the
-    knots of a partition when the function is built by on_knots.
+    The one type for a function held as numbers, and a Func that composes
+    with the others.  GridFunction(m, values) has the uniform nodes j/m,
+    finds a point's cell by arithmetic, and builds its node array xs only
+    when xs is read.  GridFunction.on_knots(knots, values) takes the knots
+    of any partition and evaluates with np.interp.  A solved FifFunction is
+    a uniform GridFunction (fif.grid is the function itself), and so are
+    the result of sample, the pipelines' Anchor, the broken line of
+    dense_approximant, and AntiDerivative.  Box counting reads the uniform
+    form only and raises ValueError on the knots form.  func_to_json gives
+    the JSON of both forms.
     """
 
     m: int
@@ -309,7 +317,9 @@ class AntiDerivative(GridFunction):
 
     The cumulative table on panels + 1 nodes is built on construction, and
     values between nodes come from linear interpolation of that table; the
-    O(m^-2) quadrature error is adequate for continuous integrands.
+    O(m^-2) quadrature error is adequate for continuous integrands.  Its
+    JSON holds the integrand and the panel count, not the table, which is
+    built again on loading (see func_to_json).
     """
 
     def __init__(self, inner: Func, panels: int = DEFAULT_QUADRATURE_PANELS):
@@ -353,6 +363,15 @@ def lipschitz_estimate(f: Func, m: int) -> float:
 
 
 def func_to_json(f: Func) -> dict:
+    """f as a JSON object that func_from_json reads back.
+
+    A uniform GridFunction is {"kind": "grid", "values": [...]} and the
+    knots form {"kind": "piecewise_linear", "knots": [...], "values": [...]}.
+    An AntiDerivative is {"kind": "antiderivative", "inner": ..., "panels":
+    ...}, and loading it builds its table again, at 2^16 panels when
+    "panels" is absent.  Counts such as "panels" and a Weierstrass series'
+    "K" must be whole numbers, and 8.0 counts as 8.
+    """
     if isinstance(f, Polynomial):
         return {"kind": "polynomial", "coeffs": f.coeffs.tolist()}
     if isinstance(f, WeierstrassSeries):

@@ -192,7 +192,7 @@ def hausdorff_preserving_sequence(f: Func, beta: float, n: int) -> HausdorffAppr
             "the quotient condition still fails after the endpoint perturbation"
         )
     return HausdorffApproximant(
-        spec=make_affine_spec(xs, ys, alpha),
+        spec=make_affine_spec(data.partition, data.ys, alpha),
         report=report,
         data=data,
         perturbed=perturbed,

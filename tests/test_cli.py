@@ -113,6 +113,16 @@ class TestPredictDim:
         assert res.exit_code == 1
         assert res.stderr == "input error: alpha length must equal interval count\n"
 
+    def test_alpha_fractal_ys_off_its_seed_exits_one(self):
+        # the seed and base are the line y = x, so ys [0, 5, 0] describes no FIF of this spec;
+        # without "ys" the same spec is collinear and exits 2
+        line = {"kind": "polynomial", "coeffs": [0, 1]}
+        spec = {"branch": "alpha_fractal", "knots": [0, 0.5, 1], "alpha": [0.8, 0.8], "seed": line, "base": line}
+        res = run("predict-dim", "--spec", json.dumps(dict(spec, ys=[0, 5, 0])))
+        assert res.exit_code == 1
+        assert res.stderr == "input error: seed must interpolate ys at the knots\n"
+        assert run("predict-dim", "--spec", json.dumps(spec)).exit_code == 2
+
 
 class TestEstimateDim:
     IDENTITY = json.dumps({"kind": "polynomial", "coeffs": [0, 1]})

@@ -42,6 +42,21 @@ class TestAffineCoeffs:
         assert np.allclose(d + al * ys[0], ys[:-1], atol=1e-12)
         assert np.allclose(c + d + al * ys[-1], ys[1:], atol=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data())
+    def test_spec_branch_is_the_closed_form(self, n, data):
+        # c_i = y_i - y_{i-1} - alpha_i (y_N - y_0) and d_i = y_{i-1} - alpha_i y_0, bit for bit
+        interior = data.draw(st.lists(st.floats(0.001, 0.999), min_size=n - 1, max_size=n - 1, unique=True))
+        ys = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n + 1, max_size=n + 1))
+        alpha = data.draw(st.lists(st.floats(-0.999, 0.999), min_size=n, max_size=n))
+        c = [ys[i + 1] - ys[i] - alpha[i] * (ys[-1] - ys[0]) for i in range(n)]
+        d = [ys[i] - alpha[i] * ys[0] for i in range(n)]
+        spec = fd.make_affine_spec([0.0, *sorted(interior), 1.0], ys, alpha)
+        back = fd.spec_from_json(json.dumps(fd.spec_to_json(spec)))
+        for branch in (spec.branch, back.branch):
+            assert branch.c.tobytes() == np.array(c).tobytes()
+            assert branch.d.tobytes() == np.array(d).tobytes()
+
 
 class TestMapParams:
     def test_uniform(self):
@@ -119,8 +134,7 @@ class TestSpecValidation:
     ])
     def test_rejects_non_finite(self, ys, alpha):
         with pytest.raises(ValueError):
-            fd.FifSpec(fd.Partition([0.0, 0.5, 1.0]), ys, alpha,
-                       fd.AffineBranch(np.zeros(2), np.zeros(2)))
+            fd.FifSpec(fd.Partition([0.0, 0.5, 1.0]), ys, alpha)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -131,6 +145,11 @@ class TestSpecValidation:
         bad_base = fd.Polynomial([0.5])
         with pytest.raises(ValueError):
             fd.make_alpha_fractal_spec([0, 0.5, 1], [0.5, 0.5], seed, bad_base)
+
+    def test_rejects_an_affine_branch_input(self):
+        spec = fd.make_affine_spec([0, 0.5, 1], [0.0, 1.0, 0.0], [0.6, -0.6])
+        with pytest.raises(ValueError, match="branch must be omitted"):
+            fd.FifSpec(spec.partition, spec.ys, spec.alpha, fd.AffineBranch(spec.branch.c, spec.branch.d))
 
     @staticmethod
     def scaled_specs(exponent, seed):
@@ -158,18 +177,17 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("exponent", range(9))
     def test_coefficients_off_by_a_relative_margin_still_raise(self, exponent):
-        scale, affine, fractal = self.scaled_specs(exponent, 1234)
-        for bump_c in (True, False):
-            c, d = affine.branch.c.copy(), affine.branch.d.copy()
-            (c if bump_c else d)[2] += 1e-9 * scale
-            with pytest.raises(ValueError, match="interpolation condition"):
-                fd.FifSpec(affine.partition, affine.ys, affine.alpha, fd.AffineBranch(c, d))
+        scale, _, fractal = self.scaled_specs(exponent, 1234)
         # the endpoint bound is 1e-9 max(1, max|ys|) and the ordinates are at most scale
         coeffs = fractal.branch.base.coeffs.copy()
         coeffs[0] += 2e-9 * scale
         with pytest.raises(ValueError, match="endpoints"):
             fd.FifSpec(fractal.partition, fractal.ys, fractal.alpha,
                        fd.AlphaFractalBranch(fractal.branch.seed, fd.Polynomial(coeffs)))
+        ys = fractal.ys.copy()
+        ys[2] += 2e-9 * scale
+        with pytest.raises(ValueError, match="seed must interpolate ys"):
+            fd.FifSpec(fractal.partition, ys, fractal.alpha, fractal.branch)
 
 
 def tent_oracle(x, alpha, depth=20):
@@ -750,11 +768,13 @@ class TestNAdicRefinement:
         assert np.array_equal(iterate_rb_apply(spec, m, 0.0), approx.fif.grid.values)
 
     def test_endpoints_follow_the_operator_not_stray_ordinates(self):
-        # alpha-fractal branches ignore ys; f(0) and f(1) solve their own
-        # endpoint equations, here seed(0) = base(0) = 0 and seed(1) = base(1) = 1
+        # alpha-fractal branches read ys only as the start of the end values;
+        # f(0) and f(1) solve their own endpoint equations, here seed(0) =
+        # base(0) = 0 and seed(1) = base(1) = 1, although ys sit 5e-10 above
+        # the seed, inside the 1e-9 bound on how far ys may stray from it
         seed = fd.Polynomial([0, 0, 1])
         spec = fd.make_alpha_fractal_spec([0, 0.5, 1], [0.9, 0.9], seed,
-                                          fd.Polynomial([0, 1]), ys=[5.0, 5.0, 5.0])
+                                          fd.Polynomial([0, 1]), ys=[5e-10, 0.25 + 5e-10, 1.0 + 5e-10])
         fif = fd.solve_fixed_point(spec, m=2 ** 10)
         assert fif.grid.values[0] == pytest.approx(0.0, abs=1e-15)
         assert fif.grid.values[-1] == pytest.approx(1.0, abs=1e-15)

@@ -281,8 +281,7 @@ TENT_KNOTS, TENT_YS = [0.0, 0.5, 1.0], [0.0, 1.0, 0.0]
 
 @pytest.mark.parametrize(
     "build",
-    [lambda knots, ys, alpha: fd.FifSpec(fd.Partition(knots), ys, alpha,
-                                         fd.AffineBranch(np.zeros(len(knots) - 1), np.zeros(len(knots) - 1))),
+    [lambda knots, ys, alpha: fd.FifSpec(fd.Partition(knots), ys, alpha),
      fd.make_affine_spec,
      lambda knots, ys, alpha: fd.affine_branch_coeffs(fd.Partition(knots), ys, alpha),
      lambda knots, ys, alpha: fd.predict_box_dim(fd.DataSet(knots, ys), alpha),
